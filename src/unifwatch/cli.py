@@ -24,7 +24,7 @@ from .oracle import (best_interval, estimate_opt_samples,
                      exact_tv_poisson_vs_mixture, threshold_set_structure)
 from .poisson import (SeededRng, StreamExhausted, SymbolStream,
                       read_frequency_vector, read_symbols)
-from .tracker import PLAUSIBLE, tracker_new, tracker_run
+from .tracker import tracker_new, tracker_run
 from .uniformity_tester import (UniformityTestConfig, collision_count_baseline,
                                 test_uniformity)
 
@@ -74,8 +74,7 @@ def _overrides_from(args: argparse.Namespace) -> dict:
 
 
 def _cmd_test(args: argparse.Namespace) -> int:
-    symbols = _read_symbol_lines(args.samples)
-    stream = SymbolStream(iter(symbols.tolist()))
+    stream = SymbolStream(_read_symbol_lines(args.samples))
     if args.baseline == "collision-count":
         verdict, report = collision_count_baseline(args.n, args.m, stream)
     else:
@@ -93,23 +92,18 @@ def _cmd_track(args: argparse.Namespace) -> int:
     state = tracker_new(args.n, args.delta, SeededRng(args.seed),
                         overrides=_overrides_from(args),
                         max_stage=args.max_stage)
-    symbols = _read_symbol_lines(args.stream)
-    stream = SymbolStream(iter(symbols.tolist()))
+    stream = SymbolStream(_read_symbol_lines(args.stream))
     exhausted = False
-    while state.status == PLAUSIBLE:
-        resolved_before = len(state.history)
-        try:
-            tracker_run(state, stream,
-                        max_samples=state.cumulative_samples + state.stage_target)
-        except StreamExhausted:
-            exhausted = True
-            break
-        if len(state.history) == resolved_before:
-            break
-        stage = state.history[-1]
-        print(f"stage={stage.stage} m={stage.m} branch={stage.branch} "
-              f"outcome={stage.outcome} samples={stage.samples} "
-              f"stage_delta={stage.stage_delta:.6g}")
+    try:
+        tracker_run(state, stream)
+    except StreamExhausted:
+        exhausted = True
+    finally:
+        # Resolved stages print even when a bad symbol stops the run.
+        for stage in state.history:
+            print(f"stage={stage.stage} m={stage.m} branch={stage.branch} "
+                  f"outcome={stage.outcome} samples={stage.samples} "
+                  f"stage_delta={stage.stage_delta:.6g}")
     _emit({"status": state.status, "stages_resolved": len(state.history),
            "samples_consumed": state.cumulative_samples,
            "stream_exhausted": exhausted})
@@ -135,8 +129,7 @@ def _cmd_full_test(args: argparse.Namespace) -> int:
     params = derive_full_params(n=args.n, mu=args.mu, delta=args.delta,
                                 r=args.r, s=args.s, x_max=args.x_max,
                                 tau=args.tau)
-    verdict = run_full_tester(params, freq, SeededRng(args.seed),
-                              literal_resampling=args.literal_resampling)
+    verdict = run_full_tester(params, freq, SeededRng(args.seed))
     _emit({"verdict": verdict.outcome,
            "params": {"n": params.n, "mu": params.mu, "tau": params.tau,
                       "s": params.s, "r": params.r, "x_max": params.x_max},
@@ -175,7 +168,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         trials=args.trials if args.trials is not None else int(raw["trials"]),
         seed=args.seed if args.seed is not None else int(raw["seed"]),
         tester_params=raw.get("overrides") or raw.get("params") or {})
-    records, summary = run_experiment(config, workers=args.workers)
+    records, summary = run_experiment(config)
     if args.out:
         if args.format == "csv":
             write_records_csv(records, args.out)
@@ -230,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     ftest.add_argument("--mu", type=float, required=True)
     ftest.add_argument("--delta", type=float, required=True)
     ftest.add_argument("--freq", required=True, help="newline-delimited counts file")
-    ftest.add_argument("--literal-resampling", action="store_true")
     ftest.add_argument("--seed", type=int, default=0)
     ftest.add_argument("--r", type=int, default=None)
     ftest.add_argument("--s", type=int, default=None)
@@ -257,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override config trials")
     sim.add_argument("--out", default=None, help="per-trial record output path")
     sim.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
-    sim.add_argument("--workers", type=int, default=1)
     sim.set_defaults(handler=_cmd_simulate)
 
     return parser

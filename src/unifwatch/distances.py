@@ -211,33 +211,40 @@ def hellinger_sq_bernoulli(p, q):
     return out
 
 
-def hellinger_sq_bernoulli_bounds(mu: float, threshold: float) -> tuple[float, float]:
+def hellinger_sq_bernoulli_bounds(mu, threshold):
     """Solve hellinger_sq_bernoulli(mu, e) >= threshold for e in [0, 1].
 
     The solution set is [0, lo] union [hi, 1].  Returns (lo, hi) with
     sentinels lo = -1.0 when no lower solution exists and hi = 2.0 when no
-    upper solution exists.  Closed form: with c = 1 - threshold/2,
+    upper solution exists; threshold >= 2 always gets both sentinels.
+    Closed form: with c = 1 - threshold/2,
     sqrt(e) = sqrt(mu)*c +/- sqrt(1-mu)*sqrt(1-c^2).
+
+    mu and threshold broadcast against each other: scalars give a pair of
+    floats, arrays a pair of arrays of the broadcast shape, elementwise
+    equal to the scalar results.
     """
-    mu = float(mu)
-    threshold = float(threshold)
-    if not 0.0 <= mu <= 1.0:
+    mu_arr = np.asarray(mu, dtype=np.float64)
+    t = np.asarray(threshold, dtype=np.float64)
+    if not np.all((mu_arr >= 0.0) & (mu_arr <= 1.0)):
         raise ValueError("mu must be a probability")
-    if threshold <= 0.0:
+    if not np.all(t > 0.0):
         raise ValueError("threshold must be positive")
-    if threshold >= 2.0:
-        return (-1.0, 2.0)
-    c = 1.0 - threshold / 2.0
-    root_a = math.sqrt(mu)
-    root_b = math.sqrt(1.0 - mu)
-    spread = math.sqrt(max(0.0, 1.0 - c * c))
+    c = 1.0 - t / 2.0
+    root_a = np.sqrt(mu_arr)
+    root_b = np.sqrt(1.0 - mu_arr)
+    spread = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
+    reachable = t < 2.0
     u_lo = root_a * c - root_b * spread
-    u_hi = root_a * c + root_b * spread
-    lo = u_lo * u_lo if u_lo >= 0.0 else -1.0
+    lo = np.where((u_lo >= 0.0) & reachable, u_lo * u_lo, -1.0)
+    del u_lo  # free one broadcast-shape temporary before building u_hi
     # u_hi <= 1 by Cauchy-Schwarz; no upper solution only when even e = 1
     # falls short, i.e. threshold > 2 - 2*sqrt(mu)  <=>  c < sqrt(mu).
-    hi = u_hi * u_hi if c >= root_a else 2.0
-    return (lo, hi)
+    u_hi = root_a * c + root_b * spread
+    hi = np.where((c >= root_a) & reachable, u_hi * u_hi, 2.0)
+    if lo.ndim == 0:
+        return float(lo), float(hi)
+    return lo, hi
 
 
 def _check_same_domain(p: DiscreteDistribution, q: DiscreteDistribution):

@@ -10,8 +10,8 @@ into a Poisson mixture, and the one-shot interval comparison applies.
 Subsets are shared across sizes: each repeat draws one permutation and grows
 a prefix k = 1..n, testing every interval at threshold tau/k.  That reuses
 one permutation for all k instead of resampling a fresh subset per
-(size, interval, repeat) triple; a flag restores the literal per-triple
-scheme for fidelity experiments at small scale.
+(size, interval, repeat) triple.  oracle.literal_full_tester runs the
+literal per-triple scheme as a brute-force reference.
 """
 
 from __future__ import annotations
@@ -107,11 +107,16 @@ def subset_thresholds(params: FullTesterParams) -> np.ndarray:
 
 def _split_histograms(params: FullTesterParams, freq: np.ndarray,
                       rng: SeededRng) -> np.ndarray:
-    """Split each count into s parts and histogram the parts per coordinate.
+    """Validate freq, split each count into s parts, histogram the parts.
 
     Returns H with H[i, x] = number of parts of coordinate i equal to x,
     for x <= x_max; larger parts land in no interval and are dropped.
     """
+    freq = validate_frequency_vector(freq)
+    if freq.size != params.n:
+        raise ValueError(f"expected {params.n} counts, got {freq.size}")
+    if params.s * params.mu > 1e12:
+        raise ValueError(f"s*mu = {params.s * params.mu:.3g} too large to split safely")
     width = params.x_max + 1
     hist = np.zeros((params.n, width), dtype=np.float64)
     for i in range(params.n):
@@ -131,28 +136,18 @@ def _scaled_bounds(params: FullTesterParams, mu_mass: np.ndarray,
     Scaling by s*k once lets each repeat test raw prefix-sum differences
     with two comparisons and no square roots.
     """
-    width = params.x_max + 1
-    ks = np.arange(1, params.n + 1, dtype=np.float64)
-    c = 1.0 - (params.tau / ks)[:, None, None] / 2.0  # (n, 1, 1)
-    root_a = np.sqrt(mu_mass)[None, :, :]
-    root_b = np.sqrt(1.0 - mu_mass)[None, :, :]
-    spread = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
-    u_lo = root_a * c - root_b * spread
-    u_hi = root_a * c + root_b * spread
-    lo = np.where(u_lo >= 0.0, u_lo * u_lo, -1.0)
-    hi = np.where(c >= root_a, u_hi * u_hi, 2.0)
-    scale = params.s * ks[:, None, None]
-    lo_counts = lo * scale
-    hi_counts = hi * scale
-    invalid = ~valid[None, :, :].repeat(params.n, axis=0)
-    lo_counts[invalid] = -np.inf
-    hi_counts[invalid] = np.inf
-    assert lo_counts.shape == (params.n, width, width)
-    return lo_counts, hi_counts
+    lo, hi = hellinger_sq_bernoulli_bounds(
+        mu_mass[None, :, :], subset_thresholds(params)[:, None, None])
+    scale = params.s * np.arange(1, params.n + 1, dtype=np.float64)[:, None, None]
+    lo *= scale
+    hi *= scale
+    lo[:, ~valid] = -np.inf
+    hi[:, ~valid] = np.inf
+    return lo, hi
 
 
-def run_full_tester(params: FullTesterParams, freq: np.ndarray, rng: SeededRng,
-                    literal_resampling: bool = False) -> Verdict:
+def run_full_tester(params: FullTesterParams, freq: np.ndarray,
+                    rng: SeededRng) -> Verdict:
     """Run the full tester on one frequency vector.
 
     Rejection takes the lowest (repeat, k, a, b) witness, so the verdict is a
@@ -161,16 +156,7 @@ def run_full_tester(params: FullTesterParams, freq: np.ndarray, rng: SeededRng,
     Repeats use independent child generators, so they could run in parallel;
     this implementation scans them in order to keep the early exit cheap.
     """
-    freq = validate_frequency_vector(freq)
-    if freq.size != params.n:
-        raise ValueError(f"expected {params.n} counts, got {freq.size}")
-    if params.s * params.mu > 1e12:
-        raise ValueError(f"s*mu = {params.s * params.mu:.3g} too large to split safely")
-
     hist = _split_histograms(params, freq, rng.child(0))
-    if literal_resampling:
-        return _run_literal(params, hist, rng.child(1))
-
     width = params.x_max + 1
     per_k_intervals = width * (width + 1) // 2
     mu_mass = interval_mass_matrix(poisson_pmf_table(params.mu, params.x_max))
@@ -204,35 +190,4 @@ def run_full_tester(params: FullTesterParams, freq: np.ndarray, rng: SeededRng,
                 repeat=rep, subset_size=k)
             return Verdict(outcome=REJECT, witness=witness,
                            intervals_evaluated=evaluated)
-    return Verdict(outcome=ACCEPT, intervals_evaluated=evaluated)
-
-
-def _run_literal(params: FullTesterParams, hist: np.ndarray,
-                 rng: SeededRng) -> Verdict:
-    """Literal per-triple scheme: fresh random subset for every (k, interval, repeat).
-
-    Exponentially more subset draws than the shared-prefix scan for the same
-    guarantee; intended only for small-scale fidelity experiments.
-    """
-    width = params.x_max + 1
-    mu_mass = interval_mass_matrix(poisson_pmf_table(params.mu, params.x_max))
-    gen = rng.generator
-    evaluated = 0
-    for k in range(1, params.n + 1):
-        threshold = params.tau / k
-        for a in range(width):
-            for b in range(a, width):
-                for rep in range(params.r):
-                    subset = gen.choice(params.n, size=k, replace=False)
-                    count = float(hist[subset, a:b + 1].sum())
-                    est = min(count / (params.s * k), 1.0)
-                    evaluated += 1
-                    gap = hellinger_sq_bernoulli(float(mu_mass[a, b]), est)
-                    if gap >= threshold:
-                        witness = IntervalWitness(
-                            a=a, b=b, mu_mass=float(mu_mass[a, b]),
-                            est_mass=est, hellinger_sq=float(gap),
-                            repeat=rep, subset_size=k)
-                        return Verdict(outcome=REJECT, witness=witness,
-                                       intervals_evaluated=evaluated)
     return Verdict(outcome=ACCEPT, intervals_evaluated=evaluated)

@@ -1,10 +1,9 @@
 """Experiment runner: benchmark families, seeded trials, and result emission.
 
 Every experiment is a pure function of (config, master seed): trial i draws
-from the child generator at path (master, i), so trials are order-independent
-and safe to run in a pool.  Records are emitted in trial order regardless of
-completion order.  Wall-time fields are informative only; exclude them when
-diffing runs.
+from the child generator at path (master, i), so trials are order-independent.
+Trials run one after another and records are emitted in trial order.
+Wall-time fields are informative only; exclude them when diffing runs.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import dataclasses
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -242,16 +240,10 @@ def summarize_records(config: ExperimentConfig,
     }
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1
-                   ) -> tuple[list[TrialRecord], dict]:
+def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], dict]:
     """Run all trials and summarize.  Output order is by trial index."""
     dist = realize_family(config.family)
-    indices = range(config.trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda i: run_trial(config, dist, i), indices))
-    else:
-        records = [run_trial(config, dist, i) for i in indices]
+    records = [run_trial(config, dist, i) for i in range(config.trials)]
     return records, summarize_records(config, records)
 
 

@@ -2,8 +2,8 @@
 
 Nothing here is used by the testers at runtime.  These functions exist so
 tests can check structural claims (interval structure of likelihood-ratio
-threshold sets, best-interval strength, distance values) against exhaustive
-or extended-precision computation.
+threshold sets, best-interval strength, distance values, the full tester's
+shared-subset scan) against exhaustive or extended-precision computation.
 
 Summation uses math.fsum (compensated, exactly rounded); truncation points
 carry an explicit certificate of the mass left behind.
@@ -22,6 +22,9 @@ import numpy as np
 from .distances import (DiscreteDistribution, PoissonMixture,
                         StructureViolationError, hellinger_sq_bernoulli,
                         log_pmf_ratio, mixture_pmf, poisson_log_pmf)
+from .full_tester import FullTesterParams, _split_histograms
+from .interval_tester import (ACCEPT, REJECT, IntervalWitness, Verdict,
+                              interval_mass_matrix, poisson_pmf_table)
 from .poisson import SeededRng
 
 BRUTE_FORCE_CEILING = 10_000_000
@@ -233,6 +236,40 @@ def brute_force_tv_product(p: DiscreteDistribution, q: DiscreteDistribution,
         prod_p = (prod_p[:, None] * p.probs[None, :]).ravel()
         prod_q = (prod_q[:, None] * q.probs[None, :]).ravel()
     return 0.5 * float(np.abs(prod_p - prod_q).sum())
+
+
+def literal_full_tester(params: FullTesterParams, freq: np.ndarray,
+                        rng: SeededRng) -> Verdict:
+    """Full tester with a fresh random subset for every (k, interval, repeat).
+
+    The literal per-triple scheme that run_full_tester's shared-prefix scan
+    replaces: exponentially more subset draws for the same guarantee, so
+    desk scale only.  Same child-RNG layout: child(0) splits the counts,
+    child(1) draws every subset.
+    """
+    hist = _split_histograms(params, freq, rng.child(0))
+    width = params.x_max + 1
+    mu_mass = interval_mass_matrix(poisson_pmf_table(params.mu, params.x_max))
+    gen = rng.child(1).generator
+    evaluated = 0
+    for k in range(1, params.n + 1):
+        threshold = params.tau / k
+        for a in range(width):
+            for b in range(a, width):
+                for rep in range(params.r):
+                    subset = gen.choice(params.n, size=k, replace=False)
+                    count = float(hist[subset, a:b + 1].sum())
+                    est = min(count / (params.s * k), 1.0)
+                    evaluated += 1
+                    gap = hellinger_sq_bernoulli(float(mu_mass[a, b]), est)
+                    if gap >= threshold:
+                        witness = IntervalWitness(
+                            a=a, b=b, mu_mass=float(mu_mass[a, b]),
+                            est_mass=est, hellinger_sq=float(gap),
+                            repeat=rep, subset_size=k)
+                        return Verdict(outcome=REJECT, witness=witness,
+                                       intervals_evaluated=evaluated)
+    return Verdict(outcome=ACCEPT, intervals_evaluated=evaluated)
 
 
 def estimate_opt_samples(mu: float, mix: PoissonMixture, tol: float = 1e-9) -> int:

@@ -13,7 +13,7 @@ involved at any rate.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -123,17 +123,25 @@ class SymbolStream:
     """Block-readable stream of 1-based symbols with a consumption counter.
 
     Wraps either a block sampler (callable k -> array of k symbols, endless)
-    or a finite iterable.  take(k) returns exactly k symbols or raises
-    StreamExhausted.
+    or a finite 1-D integer array, read by slicing.  take(k) returns exactly
+    k symbols or raises StreamExhausted.  A finite source of any other shape
+    or dtype (floats, iterators) is rejected at construction.
     """
 
-    def __init__(self, source: Callable[[int], np.ndarray] | Iterable[int]):
+    def __init__(self, source: Callable[[int], np.ndarray] | Sequence[int] | np.ndarray):
+        self._sampler: Callable[[int], np.ndarray] | None = None
+        self._symbols: np.ndarray | None = None
         if callable(source):
-            self._sampler: Callable[[int], np.ndarray] | None = source
-            self._iter: Iterator[int] | None = None
+            self._sampler = source
         else:
-            self._sampler = None
-            self._iter = iter(source)
+            symbols = np.asarray(source)
+            if symbols.ndim != 1:
+                raise ValueError("a finite stream needs a 1-D array of symbols")
+            if symbols.size and not np.issubdtype(symbols.dtype, np.integer):
+                raise ValueError(f"symbols must be integers, got dtype {symbols.dtype}")
+            # Read-only view: blocks handed out by take() alias this array.
+            self._symbols = symbols.astype(np.int64, copy=False).view()
+            self._symbols.flags.writeable = False
         self.consumed = 0
 
     def take(self, k: int) -> np.ndarray:
@@ -147,16 +155,10 @@ class SymbolStream:
             if block.size != k:
                 raise StreamExhausted(f"sampler returned {block.size} of {k} symbols")
         else:
-            out = np.empty(k, dtype=np.int64)
-            i = 0
-            for sym in self._iter:  # type: ignore[union-attr]
-                out[i] = sym
-                i += 1
-                if i == k:
-                    break
-            if i < k:
-                raise StreamExhausted(f"stream exhausted after {i} of {k} symbols")
-            block = out
+            block = self._symbols[self.consumed:self.consumed + k]
+            if block.size < k:
+                raise StreamExhausted(
+                    f"stream exhausted after {block.size} of {k} symbols")
         self.consumed += k
         return block
 

@@ -20,10 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .interval_tester import ACCEPT, BUDGET_EXCEEDED, REJECT, Verdict
+from .interval_tester import REJECT
 from .poisson import SeededRng, SymbolStream
-from .uniformity_tester import (BRANCH_COLLISION, SampleBudgetReport,
-                                UniformityTestConfig, collision_group_count,
+from .uniformity_tester import (UniformityTestConfig, collision_group_count,
                                 poissonized_sample_cap, test_uniformity)
 
 PLAUSIBLE = "plausible"
@@ -60,7 +59,6 @@ class TrackerState:
     cumulative_samples: int = 0
     history: list[StageRecord] = field(default_factory=list)
     _buffer: list = field(default_factory=list, repr=False)
-    _buffered: int = 0
 
     @property
     def m(self) -> int:
@@ -109,8 +107,8 @@ def _resolve_stage(state: TrackerState, buffered: np.ndarray) -> str:
     """Run the stage tester on the reserved buffer and advance or stop."""
     config = UniformityTestConfig(n=state.n, m=state.m, delta=state.stage_delta,
                                   overrides=state.overrides)
-    stage_stream = SymbolStream(iter(buffered.tolist()))
-    verdict, report = test_uniformity(config, stage_stream, state.rng.child(state.stage))
+    verdict, report = test_uniformity(config, SymbolStream(buffered),
+                                      state.rng.child(state.stage))
     state.history.append(StageRecord(
         stage=state.stage, m=state.m, stage_delta=state.stage_delta,
         branch=report.branch, outcome=verdict.outcome, samples=buffered.size))
@@ -139,13 +137,11 @@ def tracker_feed(state: TrackerState, symbol: int) -> str:
     if not 1 <= symbol <= state.n:
         raise ValueError(f"symbol {symbol} out of range 1..{state.n}")
     state._buffer.append(symbol)
-    state._buffered += 1
     state.cumulative_samples += 1
-    if state._buffered < state.stage_target:
+    if len(state._buffer) < state.stage_target:
         return PLAUSIBLE
     buffered = np.asarray(state._buffer, dtype=np.int64)
     state._buffer = []
-    state._buffered = 0
     return _resolve_stage(state, buffered)
 
 
@@ -158,17 +154,16 @@ def tracker_run(state: TrackerState, stream: SymbolStream,
     max_samples (returning the current status, still plausible).
     """
     while state.status == PLAUSIBLE:
-        need = state.stage_target - state._buffered
+        need = state.stage_target - len(state._buffer)
         if max_samples is not None and state.cumulative_samples + need > max_samples:
             return state.status
         block = stream.take(need)
         if block.size and (block.min() < 1 or block.max() > state.n):
             raise ValueError(f"symbol out of range 1..{state.n}")
         state.cumulative_samples += int(block.size)
-        if state._buffered:
+        if state._buffer:
             block = np.concatenate([np.asarray(state._buffer, dtype=np.int64), block])
             state._buffer = []
-            state._buffered = 0
         outcome = _resolve_stage(state, block)
         if outcome != PLAUSIBLE:
             return outcome

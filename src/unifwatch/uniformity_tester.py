@@ -88,8 +88,8 @@ def poissonized_sample_cap(n: int, m: int, delta: float,
     return cap, params, m_prime
 
 
-def collision_group_test(n: int, m: int, delta: float, stream: SymbolStream,
-                         rng: SeededRng) -> tuple[Verdict, SampleBudgetReport]:
+def collision_group_test(n: int, m: int, delta: float, stream: SymbolStream
+                         ) -> tuple[Verdict, SampleBudgetReport]:
     """Majority vote over g groups of m samples; reject iff > g/2 groups collide.
 
     The uniform-side guarantee needs m <= sqrt(n)/2 (so a group collides with
@@ -129,7 +129,7 @@ def test_uniformity(config: UniformityTestConfig, stream: SymbolStream,
     """
     n, m, delta = config.n, config.m, config.delta
     if m <= math.sqrt(n) / 2.0:
-        return collision_group_test(n, m, delta, stream, rng)
+        return collision_group_test(n, m, delta, stream)
 
     cap, params, m_prime = poissonized_sample_cap(n, m, delta, config.overrides)
     total = _draw_total(rng.child(0), params.s * float(m_prime))

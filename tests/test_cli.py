@@ -223,10 +223,10 @@ def test_simulate_subcommand_jsonl(tmp_path, capsys):
     records = read_records_jsonl(out_path)
     assert [r.trial for r in records] == list(range(8))
 
-    # reruns and worker pools agree, wall time aside
+    # reruns agree, wall time aside
     rerun_path = tmp_path / "rerun.jsonl"
     run_cli(capsys, ["simulate", "--config", str(config), "--out",
-                     str(rerun_path), "--workers", "4"])
+                     str(rerun_path)])
     rerun = read_records_jsonl(rerun_path)
     strip = lambda rs: [(r.trial, r.seed, r.verdict, r.branch,
                          r.samples_consumed, r.witness) for r in rs]

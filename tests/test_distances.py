@@ -9,6 +9,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from unifwatch import (DiscreteDistribution, PoissonMixture,
                        StructureViolationError, eliminate_large_witness,
@@ -206,6 +208,40 @@ def test_hellinger_sq_bernoulli_bounds_sentinels():
     # tiny mu and large threshold: no lower crossing, lo sentinel -1.0
     lo, hi = hellinger_sq_bernoulli_bounds(1e-6, 1.9)
     assert lo == -1.0
+
+
+PROBS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+THRESHOLDS = st.one_of(st.sampled_from([2.0, 2.5, 4.0]),
+                       st.floats(1e-9, 3.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(PROBS, THRESHOLDS), min_size=1, max_size=30))
+def test_hellinger_sq_bernoulli_bounds_arrays_match_scalars(pairs):
+    mu = np.array([p for p, _ in pairs])
+    threshold = np.array([t for _, t in pairs])
+    lo, hi = hellinger_sq_bernoulli_bounds(mu, threshold)
+    # the outer broadcast the full tester uses: thresholds down, masses across
+    lo_outer, hi_outer = hellinger_sq_bernoulli_bounds(mu[None, :],
+                                                       threshold[:, None])
+    for i, (p, t) in enumerate(pairs):
+        scalar = hellinger_sq_bernoulli_bounds(p, t)
+        assert type(scalar[0]) is float and type(scalar[1]) is float
+        assert (lo[i], hi[i]) == scalar
+        if t >= 2.0:
+            assert scalar == (-1.0, 2.0)
+        for j, (_, t_row) in enumerate(pairs):
+            assert (lo_outer[j, i], hi_outer[j, i]) == \
+                hellinger_sq_bernoulli_bounds(p, t_row)
+
+
+@settings(max_examples=500, deadline=None)
+@given(PROBS, PROBS, st.floats(1e-6, 1.99))
+def test_hellinger_sq_bernoulli_bounds_solve_the_threshold(mu, e, threshold):
+    value = hellinger_sq_bernoulli(mu, e)
+    assume(abs(value - threshold) > 1e-9)  # away from the boundary
+    lo, hi = hellinger_sq_bernoulli_bounds(mu, threshold)
+    assert (value >= threshold) == (e <= lo or e >= hi)
 
 
 def test_tv_distance_cases():

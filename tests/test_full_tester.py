@@ -10,6 +10,7 @@ from unifwatch import (ACCEPT, REJECT, FullTesterParams, SeededRng,
                        poisson_interval_mass, run_full_tester,
                        subset_thresholds)
 from unifwatch.full_tester import _split_histograms
+from unifwatch.oracle import literal_full_tester
 
 
 def test_derive_frozen_defaults():
@@ -163,12 +164,10 @@ def test_literal_resampling_agrees_on_clear_instances():
     rng = SeededRng(77)
     freq_null = rng.child(0).generator.poisson(300 * 0.5, size=4)
     assert run_full_tester(params, freq_null, rng.child(1)).outcome == ACCEPT
-    assert run_full_tester(params, freq_null, rng.child(1),
-                           literal_resampling=True).outcome == ACCEPT
+    assert literal_full_tester(params, freq_null, rng.child(1)).outcome == ACCEPT
     freq_far = np.array([600, 1, 1, 1])
     assert run_full_tester(params, freq_far, rng.child(2)).outcome == REJECT
-    assert run_full_tester(params, freq_far, rng.child(2),
-                           literal_resampling=True).outcome == REJECT
+    assert literal_full_tester(params, freq_far, rng.child(2)).outcome == REJECT
 
 
 def test_null_accept_rate_small_scale():

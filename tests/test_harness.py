@@ -100,13 +100,6 @@ def test_single_trial_rerun_is_bit_identical():
     assert strip_wall_time(first) == strip_wall_time(second)
 
 
-def test_workers_do_not_change_results():
-    serial, _ = run_experiment(BASELINE_CONFIG, workers=1)
-    pooled, _ = run_experiment(BASELINE_CONFIG, workers=4)
-    assert [r.trial for r in pooled] == list(range(16))
-    assert strip_wall_time(serial) == strip_wall_time(pooled)
-
-
 def test_tracker_experiment_false_alarm_rate():
     """Uniform stream, 200 tracker trials at delta = 0.2: reject rate <= 0.3."""
     config = ExperimentConfig(

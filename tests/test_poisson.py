@@ -191,12 +191,25 @@ def test_sample_perm_poisson_two_rate_mixture_law():
 
 
 def test_symbol_stream_exact_take_and_exhaustion():
-    stream = SymbolStream(iter([1, 2, 3, 4, 5]))
+    stream = SymbolStream(np.array([1, 2, 3, 4, 5]))
     assert stream.take(2).tolist() == [1, 2]
     assert stream.consumed == 2
     assert stream.take(0).size == 0
     with pytest.raises(StreamExhausted):
         stream.take(10)
+
+
+def test_symbol_stream_rejects_non_integer_sources():
+    # a float symbol is refused, not truncated to an integer
+    with pytest.raises(ValueError, match="integers"):
+        SymbolStream([2.7, 3.2])
+    # a finite stream is an array, not an iterator read one symbol at a time
+    with pytest.raises(ValueError, match="1-D"):
+        SymbolStream(iter([1, 2]))
+    with pytest.raises(ValueError, match="1-D"):
+        SymbolStream(np.array([[1, 2]]))
+    assert SymbolStream([3, 1]).take(2).tolist() == [3, 1]
+    assert SymbolStream([]).take(0).size == 0
 
 
 def test_symbol_stream_from_sampler():

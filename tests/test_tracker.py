@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unifwatch import (BRANCH_COLLISION, BRANCH_POISSONIZED, BUDGET_EXHAUSTED,
                        PLAUSIBLE, REJECTED, DiscreteDistribution, SeededRng,
@@ -104,11 +106,43 @@ def test_feed_and_run_agree():
         if outcome_fed != PLAUSIBLE:
             break
     ran = tracker_new(n=256, delta=0.2, seed=12, max_stage=3)
-    outcome_ran = tracker_run(ran, SymbolStream(iter(symbols.tolist())))
+    outcome_ran = tracker_run(ran, SymbolStream(symbols))
     assert outcome_fed == outcome_ran
     assert fed.cumulative_samples == ran.cumulative_samples
     assert [(r.stage, r.outcome, r.samples) for r in fed.history] == \
            [(r.stage, r.outcome, r.samples) for r in ran.history]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), support=st.integers(1, 16),
+       length=st.integers(0, 520),
+       cuts=st.lists(st.integers(0, 520), max_size=6))
+def test_feed_and_run_agree_for_any_chunking(seed, support, length, cuts):
+    """Any mix of block runs and single feeds resolves like feeding alone.
+
+    n = 16, max_stage = 1: stage targets 145 and 358, both collision stages;
+    a small support makes stage 1 reject.
+    """
+    symbols = SeededRng(seed).generator.integers(1, support + 1, size=length)
+    fed = tracker_new(n=16, delta=0.2, seed=seed, max_stage=1)
+    for symbol in symbols:
+        if tracker_feed(fed, int(symbol)) != PLAUSIBLE:
+            break
+    mixed = tracker_new(n=16, delta=0.2, seed=seed, max_stage=1)
+    edges = sorted({0, length, *(c for c in cuts if c < length)})
+    for start, stop in zip(edges, edges[1:]):
+        chunk = symbols[start:stop]
+        stream = SymbolStream(chunk)
+        if mixed.status == PLAUSIBLE:
+            tracker_run(mixed, stream,
+                        max_samples=mixed.cumulative_samples + chunk.size)
+        for symbol in chunk[stream.consumed:]:
+            if mixed.status != PLAUSIBLE:
+                break
+            tracker_feed(mixed, int(symbol))
+    assert mixed.status == fed.status
+    assert mixed.cumulative_samples == fed.cumulative_samples
+    assert mixed.history == fed.history
 
 
 def test_run_respects_max_samples_and_resumes():

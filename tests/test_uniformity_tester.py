@@ -70,8 +70,7 @@ def test_collision_branch_uniform_accepts():
     collided = groups = 0
     for t in range(trials):
         stream = stream_from_distribution(uniform, SeededRng(6000 + t))
-        verdict, report = collision_group_test(n, m, delta, stream,
-                                               SeededRng(7000 + t))
+        verdict, report = collision_group_test(n, m, delta, stream)
         accepts += verdict.outcome == ACCEPT
         collided += verdict.witness.collided
         groups += verdict.witness.groups
@@ -82,7 +81,7 @@ def test_collision_branch_uniform_accepts():
 
 def test_collision_branch_point_mass_rejects():
     stream = SymbolStream(lambda k: np.ones(k, dtype=np.int64))
-    verdict, _ = collision_group_test(10_000, 2, 0.1, stream, SeededRng(50))
+    verdict, _ = collision_group_test(10_000, 2, 0.1, stream)
     assert verdict.outcome == REJECT
     assert verdict.witness.collided == verdict.witness.groups == 145
 
@@ -105,7 +104,7 @@ def test_collision_branch_subset_uniform_rejects():
     rejects = 0
     for t in range(300):
         stream = stream_from_distribution(dist, SeededRng(8000 + t))
-        verdict, _ = collision_group_test(n, m, 0.1, stream, SeededRng(9000 + t))
+        verdict, _ = collision_group_test(n, m, 0.1, stream)
         rejects += verdict.outcome == REJECT
     assert rejects / 300 >= 0.9
 
@@ -163,9 +162,9 @@ def test_budget_exceeded_is_distinct_and_consumes_nothing(monkeypatch):
 
 
 def test_collision_branch_stream_exhaustion():
-    stream = SymbolStream(iter([1, 2, 3, 4, 5]))
+    stream = SymbolStream(np.array([1, 2, 3, 4, 5]))
     with pytest.raises(StreamExhausted):
-        collision_group_test(100, 2, 0.1, stream, SeededRng(62))
+        collision_group_test(100, 2, 0.1, stream)
 
 
 def test_config_validation():
