@@ -12,6 +12,19 @@ a prefix k = 1..n, testing every interval at threshold tau/k.  That reuses
 one permutation for all k instead of resampling a fresh subset per
 (size, interval, repeat) triple.  oracle.literal_full_tester runs the
 literal per-triple scheme as a brute-force reference.
+
+The scan is exact but compares only the live window.  Let L be one more
+than the largest part value the split keeps.  A cell [a, b] with a >= L
+counts 0 for every k and repeat, so whether it fires depends on k alone and
+one flag per k decides all of them.  The cells [a, b] with a < L <= b all
+count [a, L-1], so each row's tail folds into its cell [a, L-1], with the
+tightest of the tail's bounds.  Each repeat then compares the L(L+1)/2
+cells of the live triangle per k, as one matrix product of the subset
+prefix sums and two comparisons, instead of the (x_max+1)(x_max+2)/2 cells
+of the full triangle.  The rejection bounds are built one K_BLOCK block of
+k at a time, when a repeat first reaches the block, and only their
+reduction to the live triangle is kept; the exact b, or (a, b), of a folded
+or zero-count witness is recovered from one k's bounds on rejection.
 """
 
 from __future__ import annotations
@@ -26,8 +39,9 @@ from .interval_tester import (ACCEPT, REJECT, IntervalWitness, Verdict,
                               interval_mass_matrix, poisson_pmf_table)
 from .poisson import SeededRng, poisson_split, validate_frequency_vector
 
-# k rows are processed in blocks to bound the (block, x_max+1, x_max+1)
-# working tensors; 128 keeps them a few MB at typical ceilings.
+# The bounds are built for K_BLOCK subset sizes at a time, which caps each
+# of their (block, x_max+1, x_max+1) arrays at a few MB at typical ceilings,
+# whatever n is; intervals_evaluated counts whole blocks scanned.
 K_BLOCK = 128
 
 
@@ -127,23 +141,65 @@ def _split_histograms(params: FullTesterParams, freq: np.ndarray,
 
 
 def _scaled_bounds(params: FullTesterParams, mu_mass: np.ndarray,
-                   valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Precompute per-(k, a, b) rejection bounds on raw interval counts.
+                   valid: np.ndarray, k0: int = 0,
+                   k1: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-(k, a, b) rejection bounds on raw interval counts, for k in k0+1..k1.
 
     hellinger_sq_bernoulli(mu_I, est) >= tau/k is equivalent to the count
     falling at or below lo(mu_I, tau/k)*s*k, or at or above
     hi(mu_I, tau/k)*s*k, with (lo, hi) from hellinger_sq_bernoulli_bounds.
     Scaling by s*k once lets each repeat test raw prefix-sum differences
-    with two comparisons and no square roots.
+    with two comparisons and no square roots.  Row j of the result is subset
+    size k0+1+j; the formula is elementwise, so any k-range is bit-identical
+    to the same rows of the full (n, x_max+1, x_max+1) arrays.
     """
+    k1 = params.n if k1 is None else k1
     lo, hi = hellinger_sq_bernoulli_bounds(
-        mu_mass[None, :, :], subset_thresholds(params)[:, None, None])
-    scale = params.s * np.arange(1, params.n + 1, dtype=np.float64)[:, None, None]
+        mu_mass[None, :, :], subset_thresholds(params)[k0:k1, None, None])
+    scale = params.s * np.arange(k0 + 1, k1 + 1, dtype=np.float64)[:, None, None]
     lo *= scale
     hi *= scale
     lo[:, ~valid] = -np.inf
     hi[:, ~valid] = np.inf
     return lo, hi
+
+
+def _live_cells(live: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The live triangle in (a, b) order, and how to count its cells.
+
+    Returns (cell_a, cell_b, diff) for the cells a <= b < live.  With P the
+    prefix sums of a subset's live histogram over x (P[j] = parts below j),
+    the counts of all cells are P @ diff: column (a, b) of diff is +1 at
+    row b+1 and -1 at row a.  Integer counts make the product exact.
+    """
+    cells = [(a, b) for a in range(live) for b in range(a, live)]
+    cell_a, cell_b = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+    columns = np.arange(len(cells))
+    diff = np.zeros((live + 1, len(cells)))
+    diff[cell_b + 1, columns] = 1.0
+    diff[cell_a, columns] = -1.0
+    return cell_a, cell_b, diff
+
+
+def _live_tables(lo: np.ndarray, hi: np.ndarray, cell_a: np.ndarray,
+                 cell_b: np.ndarray,
+                 live: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduce one block of (k, a, b) bounds to the cells of _live_cells.
+
+    Every cell [a, b] with a < live <= b holds the count of [a, live-1], so
+    the last cell of row a stands for all b >= live-1: it takes the max of
+    lo and the min of hi over them, and fires exactly when one of them
+    does.  Also returns zero_fires: zero_fires[k] says whether some cell
+    with a >= live, whose count is 0 at every repeat, fires at that k.
+    """
+    lo_cells = lo[:, cell_a, cell_b]
+    hi_cells = hi[:, cell_a, cell_b]
+    last = cell_b == live - 1  # the last cell of each row, rows in order
+    lo_cells[:, last] = lo[:, :live, live - 1:].max(axis=2)
+    hi_cells[:, last] = hi[:, :live, live - 1:].min(axis=2)
+    zero_fires = (lo[:, live:, live:] >= 0.0).any(axis=(1, 2))
+    zero_fires |= (hi[:, live:, live:] <= 0.0).any(axis=(1, 2))
+    return lo_cells, hi_cells, zero_fires
 
 
 def run_full_tester(params: FullTesterParams, freq: np.ndarray,
@@ -155,38 +211,76 @@ def run_full_tester(params: FullTesterParams, freq: np.ndarray,
     are bounded by r*n*(x_max+1)*(x_max+2)/2 and reported on the verdict.
     Repeats use independent child generators, so they could run in parallel;
     this implementation scans them in order to keep the early exit cheap.
+
+    Only the live window is compared (see the module docstring): with L =
+    1 + the largest part value the split kept, or 0 when it kept none, a
+    repeat compares the L(L+1)/2 cells a <= b < L per k, where cell
+    [a, L-1] also stands for the tail b >= L of its row, and one flag per k
+    decides all the zero-count cells a >= L, which come after the rows
+    a < L in (k, a, b) order.  The bounds are built per K_BLOCK block of k
+    when a repeat first reaches it, so a rejection in an early block never
+    builds the later ones.  intervals_evaluated still counts every cell of
+    each block scanned: a cell proved silent without a comparison is
+    decided all the same.
     """
     hist = _split_histograms(params, freq, rng.child(0))
-    width = params.x_max + 1
+    n, width = params.n, params.x_max + 1
     per_k_intervals = width * (width + 1) // 2
     mu_mass = interval_mass_matrix(poisson_pmf_table(params.mu, params.x_max))
     valid = np.triu(np.ones((width, width), dtype=bool))
-    lo_counts, hi_counts = _scaled_bounds(params, mu_mass, valid)
+    present = np.flatnonzero(hist.any(axis=0))
+    live = int(present[-1]) + 1 if present.size else 0
+    cell_a, cell_b, diff = _live_cells(live)
+    row_prefix = np.zeros((n, live + 1))  # parts of coordinate i below x
+    np.cumsum(hist[:, :live], axis=1, out=row_prefix[:, 1:])
+    tables = None  # (lo, hi, zero_fires) of the live triangle, one row per k
+    built = 0  # the tables hold the bounds of subset sizes 1..built
 
     evaluated = 0
     for rep in range(params.r):
-        perm = rng.child(1 + rep).generator.permutation(params.n)
-        cum = np.cumsum(hist[perm], axis=0)                      # (n, width)
-        prefix = np.concatenate(
-            (np.zeros((params.n, 1)), np.cumsum(cum, axis=1)), axis=1)
-        for k0 in range(0, params.n, K_BLOCK):
-            k1 = min(k0 + K_BLOCK, params.n)
-            rows = prefix[k0:k1]
-            counts = rows[:, None, 1:] - rows[:, :-1, None]      # (blk, a, b)
-            viol = (counts <= lo_counts[k0:k1]) | (counts >= hi_counts[k0:k1])
-            evaluated += (k1 - k0) * per_k_intervals
-            if not viol.any():
+        perm = rng.child(1 + rep).generator.permutation(n)
+        prefix = np.cumsum(row_prefix[perm], axis=0)             # (k, x)
+        k0 = 0
+        while k0 < n:
+            if k0 == built:  # the first repeat to get this far builds a block
+                built = min(k0 + K_BLOCK, n)
+                parts = _live_tables(
+                    *_scaled_bounds(params, mu_mass, valid, k0, built),
+                    cell_a, cell_b, live)
+                if tables is None:  # allocated after the first block's peak
+                    tables = [np.empty((n,) + p.shape[1:], p.dtype) for p in parts]
+                for table, part in zip(tables, parts):
+                    table[k0:built] = part
+            lo_cells, hi_cells, zero_fires = tables
+            k1 = built  # after the first repeat, one pass covers every k
+            block = prefix[k0:k1] @ diff                         # (k, cell)
+            viol = (block <= lo_cells[k0:k1]) | (block >= hi_cells[k0:k1])
+            if not (viol.any() or zero_fires[k0:k1].any()):
+                evaluated += (k1 - k0) * per_k_intervals
+                k0 = k1
                 continue
-            flat = int(np.argmax(viol))  # first (k, a, b) in C order
-            k_off, rest = divmod(flat, width * width)
-            a, b = divmod(rest, width)
+            k_off = int(np.argmax(viol.any(axis=1) | zero_fires[k0:k1]))
             k = k0 + k_off + 1
-            est = float(counts[k_off, a, b]) / (params.s * k)
+            # count whole K_BLOCK blocks, up to the one holding the witness
+            evaluated += (min(-(-k // K_BLOCK) * K_BLOCK, n) - k0) * per_k_intervals
+            if viol[k_off].any():
+                cell = int(np.argmax(viol[k_off]))
+                a, b = int(cell_a[cell]), int(cell_b[cell])
+                count = float(block[k_off, cell])
+                if b == live - 1:
+                    lo_k, hi_k = _scaled_bounds(params, mu_mass, valid, k - 1, k)
+                    fires = (count <= lo_k[0, a, b:]) | (count >= hi_k[0, a, b:])
+                    b += int(np.argmax(fires))
+            else:
+                lo_k, hi_k = _scaled_bounds(params, mu_mass, valid, k - 1, k)
+                fires = (lo_k[0, live:] >= 0.0) | (hi_k[0, live:] <= 0.0)
+                a, b = divmod(int(np.argmax(fires)), width)
+                a += live
+                count = 0.0
+            est = min(max(count / (params.s * k), 0.0), 1.0)
             witness = IntervalWitness(
-                a=int(a), b=int(b), mu_mass=float(mu_mass[a, b]),
-                est_mass=min(max(est, 0.0), 1.0),
-                hellinger_sq=float(hellinger_sq_bernoulli(
-                    float(mu_mass[a, b]), min(max(est, 0.0), 1.0))),
+                a=a, b=b, mu_mass=float(mu_mass[a, b]), est_mass=est,
+                hellinger_sq=float(hellinger_sq_bernoulli(float(mu_mass[a, b]), est)),
                 repeat=rep, subset_size=k)
             return Verdict(outcome=REJECT, witness=witness,
                            intervals_evaluated=evaluated)

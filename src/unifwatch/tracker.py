@@ -59,6 +59,12 @@ class TrackerState:
     cumulative_samples: int = 0
     history: list[StageRecord] = field(default_factory=list)
     _buffer: list = field(default_factory=list, repr=False)
+    # Samples the current stage reserves.  Derived once per stage (here and
+    # when _resolve_stage advances), not once per fed symbol.
+    stage_target: int = field(init=False)
+
+    def __post_init__(self):
+        self._set_stage_target()
 
     @property
     def m(self) -> int:
@@ -68,9 +74,9 @@ class TrackerState:
     def stage_delta(self) -> float:
         return stage_failure_budget(self.delta, self.stage)
 
-    @property
-    def stage_target(self) -> int:
-        return stage_sample_target(self.n, self.m, self.stage_delta, self.overrides)
+    def _set_stage_target(self) -> None:
+        self.stage_target = stage_sample_target(self.n, self.m, self.stage_delta,
+                                                self.overrides)
 
 
 def stage_failure_budget(delta: float, stage: int) -> float:
@@ -121,6 +127,7 @@ def _resolve_stage(state: TrackerState, buffered: np.ndarray) -> str:
         state.status = BUDGET_EXHAUSTED
         return BUDGET_EXHAUSTED
     state.stage += 1
+    state._set_stage_target()
     return PLAUSIBLE
 
 

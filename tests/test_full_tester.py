@@ -4,13 +4,72 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unifwatch import (ACCEPT, REJECT, FullTesterParams, SeededRng,
                        derive_full_params, hellinger_sq_bernoulli,
                        poisson_interval_mass, run_full_tester,
                        subset_thresholds)
-from unifwatch.full_tester import _split_histograms
+from unifwatch.full_tester import K_BLOCK, _scaled_bounds, _split_histograms
+from unifwatch.interval_tester import (IntervalWitness, Verdict,
+                                       interval_mass_matrix, poisson_pmf_table)
 from unifwatch.oracle import literal_full_tester
+
+
+def _dense_full_tester(params, freq, rng):
+    """Reference scan: every (k, a, b) cell of the square, bounds for all k.
+
+    This is the scan run_full_tester used before the live window: same
+    split, same permutations, same bounds and the same K_BLOCK accounting,
+    with O(n*(x_max+1)^2) memory.
+    """
+    hist = _split_histograms(params, freq, rng.child(0))
+    width = params.x_max + 1
+    per_k_intervals = width * (width + 1) // 2
+    mu_mass = interval_mass_matrix(poisson_pmf_table(params.mu, params.x_max))
+    valid = np.triu(np.ones((width, width), dtype=bool))
+    lo_counts, hi_counts = _scaled_bounds(params, mu_mass, valid)
+    evaluated = 0
+    for rep in range(params.r):
+        perm = rng.child(1 + rep).generator.permutation(params.n)
+        cum = np.cumsum(hist[perm], axis=0)
+        prefix = np.concatenate(
+            (np.zeros((params.n, 1)), np.cumsum(cum, axis=1)), axis=1)
+        for k0 in range(0, params.n, K_BLOCK):
+            k1 = min(k0 + K_BLOCK, params.n)
+            rows = prefix[k0:k1]
+            counts = rows[:, None, 1:] - rows[:, :-1, None]
+            viol = (counts <= lo_counts[k0:k1]) | (counts >= hi_counts[k0:k1])
+            evaluated += (k1 - k0) * per_k_intervals
+            if not viol.any():
+                continue
+            k_off, rest = divmod(int(np.argmax(viol)), width * width)
+            a, b = divmod(rest, width)
+            k = k0 + k_off + 1
+            est = min(max(float(counts[k_off, a, b]) / (params.s * k), 0.0), 1.0)
+            witness = IntervalWitness(
+                a=a, b=b, mu_mass=float(mu_mass[a, b]), est_mass=est,
+                hellinger_sq=float(hellinger_sq_bernoulli(float(mu_mass[a, b]), est)),
+                repeat=rep, subset_size=k)
+            return Verdict(outcome=REJECT, witness=witness,
+                           intervals_evaluated=evaluated)
+    return Verdict(outcome=ACCEPT, intervals_evaluated=evaluated)
+
+
+def _live_rows(params, freq, rng):
+    """L = 1 + the largest part value the tester's split keeps (0 if none)."""
+    hist = _split_histograms(params, freq, rng.child(0))
+    present = np.flatnonzero(hist.any(axis=0))
+    return int(present[-1]) + 1 if present.size else 0
+
+
+def _assert_matches_dense(params, freq, rng):
+    fast = run_full_tester(params, freq, rng)
+    dense = _dense_full_tester(params, freq, rng)
+    assert fast == dense  # outcome and every witness field
+    assert fast.intervals_evaluated == dense.intervals_evaluated
+    return fast
 
 
 def test_derive_frozen_defaults():
@@ -190,3 +249,92 @@ def test_lumpy_alternative_reject_rate_small_scale():
         freq = rng.child(0).generator.poisson(params.s * rates)
         rejects += run_full_tester(params, freq, rng.child(1)).outcome == REJECT
     assert rejects >= 18
+
+
+@st.composite
+def _kernel_cases(draw):
+    n = draw(st.integers(2, 300))
+    x_max = draw(st.integers(0, 20))
+    s = draw(st.integers(1, 12))
+    params = FullTesterParams(n=n, mu=draw(st.floats(0.0, 4.0)),
+                              tau=draw(st.floats(1e-3, 0.5)), s=s,
+                              r=draw(st.integers(1, 3)), x_max=x_max)
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["zero", "single", "null", "lumpy", "above"]))
+    freq = np.zeros(n, dtype=np.int64)  # "zero": every part is 0, so L = 1
+    if kind == "single":
+        freq[draw(st.integers(0, n - 1))] = draw(st.integers(1, 3 * s * (x_max + 2)))
+    elif kind == "null":
+        freq = gen.poisson(s * params.mu, size=n)
+    elif kind == "lumpy":
+        freq = gen.poisson(s * params.mu * gen.gamma(0.5, 2.0, size=n))
+    elif kind == "above":
+        # every part of a chosen coordinate lands above x_max and is
+        # dropped; when all coordinates are chosen the split keeps nothing
+        chosen = gen.random(n) < draw(st.sampled_from([0.5, 1.0]))
+        freq[chosen] = 60 * s * (x_max + 1)
+    return params, freq
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_kernel_cases(), seed=st.integers(0, 2**32 - 1))
+def test_live_window_kernel_matches_dense_scan(case, seed):
+    params, freq = case
+    _assert_matches_dense(params, freq, SeededRng(seed))
+
+
+def test_live_cell_witness():
+    """A witness inside the live triangle a <= b < L, found at repeat 0."""
+    params = derive_full_params(n=16, mu=2.0, delta=0.2, r=24)
+    rates = np.r_[np.full(8, 3.9), np.full(8, 0.1)]
+    rng = SeededRng(33)
+    freq = rng.child(0).generator.poisson(params.s * rates)
+    verdict = _assert_matches_dense(params, freq, rng.child(1))
+    live = _live_rows(params, freq, rng.child(1))
+    w = verdict.witness
+    assert (w.a, w.b, w.repeat, w.subset_size) == (0, 0, 0, 1)
+    assert w.b < live == 14 < params.x_max
+    assert verdict.intervals_evaluated == 16 * 50 * 51 // 2
+
+
+def test_tail_cell_witness():
+    """A witness with a < L <= b: recovered from the folded cell [a, L-1]."""
+    params = FullTesterParams(n=2, mu=1.0, tau=0.8, s=5, r=1, x_max=2)
+    freq = np.array([0, 5000])  # all parts 0, or all far above x_max
+    verdict = _assert_matches_dense(params, freq, SeededRng(1))
+    assert _live_rows(params, freq, SeededRng(1)) == 1
+    w = verdict.witness
+    assert (w.a, w.b, w.repeat, w.subset_size) == (0, 1, 0, 1)
+    assert w.est_mass == 0.0
+    assert verdict.intervals_evaluated == 2 * 6
+
+
+def test_zero_cell_witness():
+    """Witnesses with a >= L, whose count is 0 at every k and repeat."""
+    params = FullTesterParams(n=2, mu=1.0, tau=0.8, s=5, r=1, x_max=2)
+    freq = np.array([0, 5000])
+    verdict = _assert_matches_dense(params, freq, SeededRng(0))
+    assert _live_rows(params, freq, SeededRng(0)) == 1
+    w = verdict.witness
+    assert (w.a, w.b, w.repeat, w.subset_size) == (1, 1, 0, 2)
+    assert w.est_mass == 0.0
+    # the split keeps nothing at all (L = 0): every cell counts 0
+    params = FullTesterParams(n=3, mu=1.0, tau=0.1, s=1, r=1, x_max=0)
+    freq = np.array([3, 3, 3])
+    verdict = _assert_matches_dense(params, freq, SeededRng(0))
+    assert _live_rows(params, freq, SeededRng(0)) == 0
+    w = verdict.witness
+    assert (w.a, w.b, w.repeat, w.subset_size) == (0, 0, 0, 1)
+    assert verdict.intervals_evaluated == 3
+
+
+def test_reject_in_second_k_block_counts_whole_blocks():
+    """Repeat 0 accepts, repeat 1 rejects at k > K_BLOCK: both blocks count."""
+    params = FullTesterParams(n=200, mu=1.0, tau=0.1, s=20, r=8, x_max=6)
+    rates = np.r_[np.full(100, 1.03), np.full(100, 0.97)]
+    rng = SeededRng(7)
+    freq = rng.child(0).generator.poisson(params.s * rates)
+    verdict = _assert_matches_dense(params, freq, rng.child(1))
+    assert K_BLOCK < verdict.witness.subset_size == 169
+    assert verdict.witness.repeat == 1
+    assert verdict.intervals_evaluated == 2 * 200 * 28

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from unifwatch import (DiscreteDistribution, SeededRng, StreamExhausted,
@@ -76,6 +78,18 @@ def test_poisson_split_conserves_total():
         assert parts.size == s
 
 
+@settings(max_examples=200, deadline=None)
+@given(y=st.integers(0, 10**6), s=st.integers(1, 500),
+       seed=st.integers(0, 2**32 - 1))
+def test_poisson_split_parts_sum_to_the_count(y, s, seed):
+    parts = poisson_split(y, s, SeededRng(seed))
+    assert parts.shape == (s,)
+    assert parts.min() >= 0
+    assert int(parts.sum()) == y
+    if s == 1:
+        assert parts.tolist() == [y]
+
+
 def test_poisson_split_marginals_poisson():
     """Splitting Poi(s*lam) into s parts yields i.i.d. Poi(lam) coordinates."""
     lam, s, trials = 2.0, 5, 100_000
@@ -140,6 +154,16 @@ def test_poissonize_depoissonize_round_trip():
         n = int(gen.integers(1, 12))
         freq = gen.integers(0, 9, size=n).astype(np.int64)
         assert (poissonize(depoissonize(freq, rng), n) == freq).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(freq=st.lists(st.integers(0, 50), min_size=1, max_size=40),
+       seed=st.integers(0, 2**32 - 1))
+def test_poissonize_inverts_depoissonize(freq, seed):
+    freq = np.array(freq, dtype=np.int64)
+    symbols = depoissonize(freq, SeededRng(seed))
+    assert symbols.size == freq.sum()
+    assert (poissonize(symbols, freq.size) == freq).all()
 
 
 def test_depoissonize_order_is_shuffled():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unifwatch import tracker
 from unifwatch import (BRANCH_COLLISION, BRANCH_POISSONIZED, BUDGET_EXHAUSTED,
                        PLAUSIBLE, REJECTED, DiscreteDistribution, SeededRng,
                        SymbolStream, collision_group_count,
@@ -143,6 +144,28 @@ def test_feed_and_run_agree_for_any_chunking(seed, support, length, cuts):
     assert mixed.status == fed.status
     assert mixed.cumulative_samples == fed.cumulative_samples
     assert mixed.history == fed.history
+
+
+def test_feed_derives_each_stage_target_once(monkeypatch):
+    """tracker_feed reads a stored target; it derives one per stage only."""
+    calls = []
+    derive = tracker.stage_sample_target
+
+    def counting(n, m, stage_delta, overrides=None):
+        calls.append(m)
+        return derive(n, m, stage_delta, overrides)
+
+    monkeypatch.setattr(tracker, "stage_sample_target", counting)
+    state = tracker_new(n=256, delta=0.2, seed=13, max_stage=3)
+    stream = stream_from_distribution(DiscreteDistribution.uniform(256),
+                                      SeededRng(14))
+    for symbol in stream.take(3307):
+        if tracker_feed(state, int(symbol)) != PLAUSIBLE:
+            break
+    assert state.status == BUDGET_EXHAUSTED
+    assert state.cumulative_samples == 3307
+    assert len(state.history) == 4
+    assert calls == [1, 2, 4, 8]
 
 
 def test_run_respects_max_samples_and_resumes():
