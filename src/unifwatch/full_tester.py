@@ -22,27 +22,44 @@ tightest of the tail's bounds.  Each repeat then compares the L(L+1)/2
 cells of the live triangle per k, as one matrix product of the subset
 prefix sums and two comparisons, instead of the (x_max+1)(x_max+2)/2 cells
 of the full triangle.  The rejection bounds are built one K_BLOCK block of
-k at a time, when a repeat first reaches the block, and only their
-reduction to the live triangle is kept; the exact b, or (a, b), of a folded
-or zero-count witness is recovered from one k's bounds on rejection.
+k at a time, when repeat 0 reaches the block, and only their reduction to
+the live triangle is kept; the exact b, or (a, b), of a folded or
+zero-count witness is recovered from one k's bounds on rejection.
+
+Repeat j draws its permutation from rng.child(1 + j).  Repeat 0 runs alone,
+so a rejection there builds no later block and derives no later
+permutation.  Once it accepts, no zero-count cell fires at any k, and the
+other repeats are scanned in batches of 1, 2, 4, ... repeats, up to about
+BATCH_COUNTS counts each: child_permutations derives all their Philox keys
+in one vectorized pass and rewinds one generator to each, bit-identical to
+building every child, and each batch is one prefix sum, one matrix product
+and two comparisons.  The first repeat of a batch with a violation holds
+the lowest witness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .distances import hellinger_sq_bernoulli, hellinger_sq_bernoulli_bounds
 from .interval_tester import (ACCEPT, REJECT, IntervalWitness, Verdict,
                               interval_mass_matrix, poisson_pmf_table)
-from .poisson import SeededRng, poisson_split, validate_frequency_vector
+from .poisson import (SeededRng, child_permutations, poisson_split,
+                      validate_frequency_vector)
 
 # The bounds are built for K_BLOCK subset sizes at a time, which caps each
 # of their (block, x_max+1, x_max+1) arrays at a few MB at typical ceilings,
 # whatever n is; intervals_evaluated counts whole blocks scanned.
 K_BLOCK = 128
+
+# The repeats after the first are scanned in batches whose (repeat, k, cell)
+# float64 counts hold at most about this many values, 0.5 MiB, so a batch
+# stays below the peak of building one bounds block.
+BATCH_COUNTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -209,19 +226,20 @@ def run_full_tester(params: FullTesterParams, freq: np.ndarray,
     Rejection takes the lowest (repeat, k, a, b) witness, so the verdict is a
     pure function of (params, freq, rng seed).  Total interval evaluations
     are bounded by r*n*(x_max+1)*(x_max+2)/2 and reported on the verdict.
-    Repeats use independent child generators, so they could run in parallel;
-    this implementation scans them in order to keep the early exit cheap.
+    Repeat j permutes with rng.child(1 + j); the repeats after the first
+    get their permutations from child_permutations, bit-identical to those
+    children, and are scanned in batches (see the module docstring).
 
     Only the live window is compared (see the module docstring): with L =
     1 + the largest part value the split kept, or 0 when it kept none, a
     repeat compares the L(L+1)/2 cells a <= b < L per k, where cell
     [a, L-1] also stands for the tail b >= L of its row, and one flag per k
     decides all the zero-count cells a >= L, which come after the rows
-    a < L in (k, a, b) order.  The bounds are built per K_BLOCK block of k
-    when a repeat first reaches it, so a rejection in an early block never
-    builds the later ones.  intervals_evaluated still counts every cell of
-    each block scanned: a cell proved silent without a comparison is
-    decided all the same.
+    a < L in (k, a, b) order.  Repeat 0 builds the bounds per K_BLOCK block
+    of k as it reaches them, so a rejection in an early block never builds
+    the later ones.  intervals_evaluated still counts every cell of each
+    block scanned: a cell proved silent without a comparison is decided all
+    the same.
     """
     hist = _split_histograms(params, freq, rng.child(0))
     n, width = params.n, params.x_max + 1
@@ -233,55 +251,70 @@ def run_full_tester(params: FullTesterParams, freq: np.ndarray,
     cell_a, cell_b, diff = _live_cells(live)
     row_prefix = np.zeros((n, live + 1))  # parts of coordinate i below x
     np.cumsum(hist[:, :live], axis=1, out=row_prefix[:, 1:])
-    tables = None  # (lo, hi, zero_fires) of the live triangle, one row per k
-    built = 0  # the tables hold the bounds of subset sizes 1..built
 
-    evaluated = 0
-    for rep in range(params.r):
-        perm = rng.child(1 + rep).generator.permutation(n)
-        prefix = np.cumsum(row_prefix[perm], axis=0)             # (k, x)
-        k0 = 0
-        while k0 < n:
-            if k0 == built:  # the first repeat to get this far builds a block
-                built = min(k0 + K_BLOCK, n)
-                parts = _live_tables(
-                    *_scaled_bounds(params, mu_mass, valid, k0, built),
-                    cell_a, cell_b, live)
-                if tables is None:  # allocated after the first block's peak
-                    tables = [np.empty((n,) + p.shape[1:], p.dtype) for p in parts]
-                for table, part in zip(tables, parts):
-                    table[k0:built] = part
-            lo_cells, hi_cells, zero_fires = tables
-            k1 = built  # after the first repeat, one pass covers every k
-            block = prefix[k0:k1] @ diff                         # (k, cell)
-            viol = (block <= lo_cells[k0:k1]) | (block >= hi_cells[k0:k1])
-            if not (viol.any() or zero_fires[k0:k1].any()):
-                evaluated += (k1 - k0) * per_k_intervals
-                k0 = k1
-                continue
-            k_off = int(np.argmax(viol.any(axis=1) | zero_fires[k0:k1]))
-            k = k0 + k_off + 1
-            # count whole K_BLOCK blocks, up to the one holding the witness
-            evaluated += (min(-(-k // K_BLOCK) * K_BLOCK, n) - k0) * per_k_intervals
-            if viol[k_off].any():
-                cell = int(np.argmax(viol[k_off]))
-                a, b = int(cell_a[cell]), int(cell_b[cell])
-                count = float(block[k_off, cell])
-                if b == live - 1:
-                    lo_k, hi_k = _scaled_bounds(params, mu_mass, valid, k - 1, k)
-                    fires = (count <= lo_k[0, a, b:]) | (count >= hi_k[0, a, b:])
-                    b += int(np.argmax(fires))
-            else:
-                lo_k, hi_k = _scaled_bounds(params, mu_mass, valid, k - 1, k)
-                fires = (lo_k[0, live:] >= 0.0) | (hi_k[0, live:] <= 0.0)
-                a, b = divmod(int(np.argmax(fires)), width)
-                a += live
-                count = 0.0
-            est = min(max(count / (params.s * k), 0.0), 1.0)
-            witness = IntervalWitness(
-                a=a, b=b, mu_mass=float(mu_mass[a, b]), est_mass=est,
-                hellinger_sq=float(hellinger_sq_bernoulli(float(mu_mass[a, b]), est)),
-                repeat=rep, subset_size=k)
-            return Verdict(outcome=REJECT, witness=witness,
-                           intervals_evaluated=evaluated)
-    return Verdict(outcome=ACCEPT, intervals_evaluated=evaluated)
+    def reject(rep: int, k: int, counts: np.ndarray, viol: np.ndarray) -> Verdict:
+        """The lowest witness of repeat rep at size k, from that k's row of
+        live-cell counts and violations (none there: a zero-count cell)."""
+        # count whole K_BLOCK blocks, up to the one holding the witness
+        evaluated = (rep * n + min(-(-k // K_BLOCK) * K_BLOCK, n)) * per_k_intervals
+        lo_k, hi_k = _scaled_bounds(params, mu_mass, valid, k - 1, k)
+        if viol.any():
+            cell = int(np.argmax(viol))
+            a, b = int(cell_a[cell]), int(cell_b[cell])
+            count = float(counts[cell])
+            if b == live - 1:
+                fires = (count <= lo_k[0, a, b:]) | (count >= hi_k[0, a, b:])
+                b += int(np.argmax(fires))
+        else:
+            fires = (lo_k[0, live:] >= 0.0) | (hi_k[0, live:] <= 0.0)
+            a, b = divmod(int(np.argmax(fires)), width)
+            a += live
+            count = 0.0
+        est = min(max(count / (params.s * k), 0.0), 1.0)
+        witness = IntervalWitness(
+            a=a, b=b, mu_mass=float(mu_mass[a, b]), est_mass=est,
+            hellinger_sq=float(hellinger_sq_bernoulli(float(mu_mass[a, b]), est)),
+            repeat=rep, subset_size=k)
+        return Verdict(outcome=REJECT, witness=witness, intervals_evaluated=evaluated)
+
+    perm = next(child_permutations(rng, 1, 1, n))
+    prefix = np.cumsum(row_prefix[perm], axis=0)                 # (k, x)
+    tables = None  # (lo, hi, zero_fires) of the live triangle, one row per k
+    for k0 in range(0, n, K_BLOCK):
+        k1 = min(k0 + K_BLOCK, n)
+        parts = _live_tables(*_scaled_bounds(params, mu_mass, valid, k0, k1),
+                             cell_a, cell_b, live)
+        if tables is None:  # allocated after the first block's peak
+            tables = [np.empty((n,) + p.shape[1:], p.dtype) for p in parts]
+        for table, part in zip(tables, parts):
+            table[k0:k1] = part
+        lo_cells, hi_cells, zero_fires = (table[k0:k1] for table in tables)
+        counts = prefix[k0:k1] @ diff                             # (k, cell)
+        viol = (counts <= lo_cells) | (counts >= hi_cells)
+        fired = viol.any(axis=1) | zero_fires
+        if fired.any():
+            k_off = int(np.argmax(fired))
+            return reject(0, k0 + k_off + 1, counts[k_off], viol[k_off])
+
+    # Repeat 0 accepted, so no zero-count cell fires at any k, and the later
+    # repeats compare only the live cells, a batch of repeats at a time.
+    # Batches grow 1, 2, 4, ... so an early rejection scans little more than
+    # it needs, up to about BATCH_COUNTS counts.
+    lo_cells, hi_cells, _ = tables
+    cells = cell_a.size
+    most = max(1, BATCH_COUNTS // (n * max(cells, 1)))
+    perms = child_permutations(rng, 2, params.r - 1, n)
+    rep, size = 1, 1
+    while rep < params.r:
+        size = min(size, most, params.r - rep)
+        batch = np.array(list(islice(perms, size)))              # (repeat, k)
+        prefix = np.cumsum(row_prefix[batch], axis=1).reshape(size * n, live + 1)
+        counts = (prefix @ diff).reshape(size, n, cells)         # (repeat, k, cell)
+        below, above = counts <= lo_cells, counts >= hi_cells
+        if below.any() or above.any():
+            viol = below | above
+            j, k_off = divmod(int(np.argmax(viol.any(axis=2))), n)
+            return reject(rep + j, k_off + 1, counts[j, k_off], viol[j, k_off])
+        rep += size
+        size *= 2
+    return Verdict(outcome=ACCEPT, intervals_evaluated=params.r * n * per_k_intervals)

@@ -1,5 +1,6 @@
 """Full tester: derivation self-check, scan semantics, relabeling invariance."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from unifwatch import (ACCEPT, REJECT, FullTesterParams, SeededRng,
                        derive_full_params, hellinger_sq_bernoulli,
                        poisson_interval_mass, run_full_tester,
                        subset_thresholds)
+from unifwatch import full_tester
 from unifwatch.full_tester import K_BLOCK, _scaled_bounds, _split_histograms
 from unifwatch.interval_tester import (IntervalWitness, Verdict,
                                        interval_mass_matrix, poisson_pmf_table)
@@ -251,14 +253,41 @@ def test_lumpy_alternative_reject_rate_small_scale():
     assert rejects >= 18
 
 
+def _repeat_scores(params, freq, rng):
+    """Per repeat, the largest k * H^2 over its (k, a, b) cells.
+
+    Repeat j holds a cell that fires at threshold tau/k exactly when tau is
+    at most its score (up to rounding), so a tau between the score of
+    repeat 0 and the largest later score makes the first rejection late.
+    """
+    hist = _split_histograms(params, freq, rng.child(0))
+    mu_mass = interval_mass_matrix(poisson_pmf_table(params.mu, params.x_max))
+    a, b = np.triu_indices(params.x_max + 1)
+    k = np.arange(1, params.n + 1)[:, None]
+    scores = []
+    for rep in range(params.r):
+        perm = rng.child(1 + rep).generator.permutation(params.n)
+        below = np.cumsum(np.cumsum(hist[perm], axis=0), axis=1)  # parts <= x
+        counts = below[:, b] - np.where(a > 0, below[:, a - 1], 0.0)
+        est = np.clip(counts / (params.s * k), 0.0, 1.0)
+        scores.append((k * hellinger_sq_bernoulli(mu_mass[a, b], est)).max())
+    return np.array(scores)
+
+
 @st.composite
 def _kernel_cases(draw):
-    n = draw(st.integers(2, 300))
+    # many repeats only at small n: repeats 1..r-1 are scanned in batches of
+    # 1, 2, 4, 8, 16, ... repeats, so r up to 32 reaches batches of 16
+    many = draw(st.booleans())
+    if many:
+        n, r = draw(st.integers(2, 24)), draw(st.integers(4, 32))
+    else:
+        n, r = draw(st.integers(2, 300)), draw(st.integers(1, 3))
     x_max = draw(st.integers(0, 20))
     s = draw(st.integers(1, 12))
     params = FullTesterParams(n=n, mu=draw(st.floats(0.0, 4.0)),
                               tau=draw(st.floats(1e-3, 0.5)), s=s,
-                              r=draw(st.integers(1, 3)), x_max=x_max)
+                              r=r, x_max=x_max)
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["zero", "single", "null", "lumpy", "above"]))
     freq = np.zeros(n, dtype=np.int64)  # "zero": every part is 0, so L = 1
@@ -273,13 +302,21 @@ def _kernel_cases(draw):
         # dropped; when all coordinates are chosen the split keeps nothing
         chosen = gen.random(n) < draw(st.sampled_from([0.5, 1.0]))
         freq[chosen] = 60 * s * (x_max + 1)
-    return params, freq
+    seed = draw(st.integers(0, 2**32 - 1))
+    if many and draw(st.booleans()):
+        # most random thresholds reject at repeat 0; put tau where repeat 0
+        # accepts and a later repeat, often inside a batch, rejects
+        scores = _repeat_scores(params, freq, SeededRng(seed))
+        if scores[1:].max() > scores[0]:
+            tau = scores[0] + draw(st.floats(0.05, 0.95)) * (scores[1:].max() - scores[0])
+            params = dataclasses.replace(params, tau=float(tau))
+    return params, freq, seed
 
 
-@settings(max_examples=200, deadline=None)
-@given(case=_kernel_cases(), seed=st.integers(0, 2**32 - 1))
-def test_live_window_kernel_matches_dense_scan(case, seed):
-    params, freq = case
+@settings(max_examples=400, deadline=None)
+@given(case=_kernel_cases())
+def test_live_window_kernel_matches_dense_scan(case):
+    params, freq, seed = case
     _assert_matches_dense(params, freq, SeededRng(seed))
 
 
@@ -338,3 +375,67 @@ def test_reject_in_second_k_block_counts_whole_blocks():
     assert K_BLOCK < verdict.witness.subset_size == 169
     assert verdict.witness.repeat == 1
     assert verdict.intervals_evaluated == 2 * 200 * 28
+
+
+def _late_reject_case():
+    """A borderline profile whose first rejection comes at repeat 5."""
+    params = derive_full_params(n=16, mu=2.0, delta=0.2, r=24)
+    rates = np.full(16, 2.0)
+    rates[:8] += 0.14
+    rates[8:] -= 0.14
+    rng = SeededRng(7008)
+    return params, rng.child(0).generator.poisson(params.s * rates), rng.child(1)
+
+
+def test_reject_inside_a_batch_of_four_matches_dense_scan(monkeypatch):
+    """Repeats 3..6 form the batch of four; repeat 5 holds the witness.
+
+    The same holds when the batch working set caps every batch at one
+    repeat, so the witness does not depend on how repeats are batched.
+    """
+    params, freq, rng = _late_reject_case()
+    verdict = _assert_matches_dense(params, freq, rng)
+    w = verdict.witness
+    assert (w.repeat, w.subset_size, w.a, w.b) == (5, 5, 3, 7)
+    per_k = (params.x_max + 1) * (params.x_max + 2) // 2
+    assert verdict.intervals_evaluated == (5 * 16 + 16) * per_k
+    monkeypatch.setattr(full_tester, "BATCH_COUNTS", 1)
+    assert _assert_matches_dense(params, freq, rng) == verdict
+
+
+def _count_permutations(monkeypatch):
+    """Record (first, count) of each child_permutations call the tester makes,
+    and how many permutations it draws from them."""
+    calls, drawn = [], []
+    child_permutations = full_tester.child_permutations
+
+    def counting(rng, first, count, n):
+        calls.append((first, count))
+        for perm in child_permutations(rng, first, count, n):
+            drawn.append(perm)
+            yield perm
+
+    monkeypatch.setattr(full_tester, "child_permutations", counting)
+    return calls, drawn
+
+
+def test_reject_at_repeat_zero_derives_one_permutation(monkeypatch):
+    """A repeat-0 reject derives no key and no permutation of later repeats."""
+    params = derive_full_params(n=16, mu=2.0, delta=0.2, r=24)
+    rates = np.r_[np.full(8, 3.9), np.full(8, 0.1)]
+    rng = SeededRng(33)
+    freq = rng.child(0).generator.poisson(params.s * rates)
+    calls, drawn = _count_permutations(monkeypatch)
+    verdict = run_full_tester(params, freq, rng.child(1))
+    assert verdict.outcome == REJECT and verdict.witness.repeat == 0
+    assert calls == [(1, 1)]
+    assert len(drawn) == 1
+
+
+def test_accept_derives_every_permutation_once(monkeypatch):
+    params, _, rng = _late_reject_case()
+    freq = rng.child(0).generator.poisson(params.s * 2.0, size=16)
+    calls, drawn = _count_permutations(monkeypatch)
+    assert run_full_tester(params, freq, rng).outcome == ACCEPT
+    assert calls == [(1, 1), (2, params.r - 1)]
+    assert len(drawn) == params.r
