@@ -6,11 +6,11 @@ count tester, the branching uniformity test, the anytime tracker, and a
 brute-force oracle suite for validating structural claims at desk scale.
 """
 
-from .distances import (DiscreteDistribution, EliminateWitness, IntervalMass,
-                        PoissonMixture, StructureViolationError,
-                        eliminate_large_witness, hellinger_sq,
-                        hellinger_sq_bernoulli, hellinger_sq_bernoulli_bounds,
-                        kl_divergence, log_pmf_ratio, mixture_pmf, pmf_ratio,
+from .distances import (DiscreteDistribution, PoissonMixture,
+                        StructureViolationError, eliminate_large_witness,
+                        hellinger_sq, hellinger_sq_bernoulli,
+                        hellinger_sq_bernoulli_bounds, kl_divergence,
+                        log_pmf_ratio, mixture_pmf, pmf_ratio,
                         poisson_interval_mass, poisson_log_pmf, poisson_pmf,
                         tv_distance)
 from .full_tester import (FullTesterParams, derive_full_params,
@@ -23,20 +23,16 @@ from .harness import (DistributionFamilySpec, ExperimentConfig, TrialRecord,
 from .interval_tester import (ACCEPT, BUDGET_EXCEEDED, REJECT, CollisionWitness,
                               IntervalTesterParams, IntervalWitness, Verdict,
                               derive_interval_params, run_interval_tester)
-from .oracle import (BestInterval, ThresholdSetStructure, TruncationWindow,
-                     best_interval, brute_force_tv_product,
-                     calibrate_good_interval_constant, estimate_opt_samples,
-                     exact_hellinger_poisson_vs_mixture,
-                     exact_tv_poisson_vs_mixture, load_pinned_calibration,
-                     mc_tv_lower_bound, threshold_set_structure)
+from .oracle import (BestInterval, ThresholdSetStructure, best_interval,
+                     estimate_opt_samples, exact_hellinger_poisson_vs_mixture,
+                     exact_tv_poisson_vs_mixture, mc_tv_lower_bound,
+                     threshold_set_structure)
 from .poisson import (SeededRng, StreamExhausted, SymbolStream, depoissonize,
                       poissonize, read_frequency_vector, read_symbols,
-                      sample_perm_poisson, sample_poisson,
-                      stream_from_distribution)
+                      sample_poisson, stream_from_distribution)
 from .tracker import (BUDGET_EXHAUSTED, PLAUSIBLE, REJECTED, StageRecord,
                       TrackerState, stage_failure_budget, stage_sample_target,
-                      tracker_expected_samples_bound, tracker_feed, tracker_new,
-                      tracker_run)
+                      tracker_feed, tracker_new, tracker_run)
 from .uniformity_tester import (BRANCH_COLLISION, BRANCH_POISSONIZED,
                                 SampleBudgetReport, UniformityTestConfig,
                                 collision_count_baseline, collision_group_count,
@@ -48,28 +44,26 @@ __version__ = "0.1.0"
 __all__ = [
     "ACCEPT", "BRANCH_COLLISION", "BRANCH_POISSONIZED", "BUDGET_EXCEEDED",
     "BUDGET_EXHAUSTED", "BestInterval", "CollisionWitness",
-    "DiscreteDistribution", "DistributionFamilySpec", "EliminateWitness",
-    "ExperimentConfig", "FullTesterParams", "IntervalMass",
-    "IntervalTesterParams", "IntervalWitness", "PLAUSIBLE", "PoissonMixture",
-    "REJECT", "REJECTED", "SampleBudgetReport", "SeededRng", "StageRecord",
-    "StreamExhausted", "StructureViolationError", "SymbolStream",
-    "ThresholdSetStructure", "TrackerState", "TrialRecord", "TruncationWindow",
-    "UniformityTestConfig", "Verdict", "best_interval",
-    "brute_force_tv_product", "calibrate_good_interval_constant",
-    "collision_count_baseline", "collision_group_count", "collision_group_test",
-    "depoissonize", "derive_full_params", "derive_interval_params",
-    "eliminate_large_witness", "estimate_opt_samples",
-    "exact_hellinger_poisson_vs_mixture", "exact_tv_poisson_vs_mixture",
-    "hellinger_sq", "hellinger_sq_bernoulli", "hellinger_sq_bernoulli_bounds",
-    "kl_divergence", "load_pinned_calibration", "log_pmf_ratio",
-    "mc_tv_lower_bound", "mixture_pmf", "pmf_ratio", "poisson_interval_mass",
-    "poisson_log_pmf", "poisson_pmf", "poissonize", "poissonized_sample_cap",
-    "read_frequency_vector", "read_records_csv", "read_records_jsonl",
-    "read_symbols", "realize_family", "run_experiment", "run_full_tester",
-    "run_interval_tester", "sample_perm_poisson", "sample_poisson",
-    "stage_failure_budget", "stage_sample_target", "stream_from_distribution",
-    "subset_thresholds", "summarize_records",
-    "test_uniformity", "tracker_expected_samples_bound", "tracker_feed",
-    "tracker_new", "tracker_run", "tv_distance", "wilson_interval",
-    "write_records_csv", "write_records_jsonl", "write_summary",
+    "DiscreteDistribution", "DistributionFamilySpec", "ExperimentConfig",
+    "FullTesterParams", "IntervalTesterParams", "IntervalWitness",
+    "PLAUSIBLE", "PoissonMixture", "REJECT", "REJECTED",
+    "SampleBudgetReport", "SeededRng", "StageRecord", "StreamExhausted",
+    "StructureViolationError", "SymbolStream", "ThresholdSetStructure",
+    "TrackerState", "TrialRecord", "UniformityTestConfig", "Verdict",
+    "best_interval", "collision_count_baseline", "collision_group_count",
+    "collision_group_test", "depoissonize", "derive_full_params",
+    "derive_interval_params", "eliminate_large_witness",
+    "estimate_opt_samples", "exact_hellinger_poisson_vs_mixture",
+    "exact_tv_poisson_vs_mixture", "hellinger_sq", "hellinger_sq_bernoulli",
+    "hellinger_sq_bernoulli_bounds", "kl_divergence", "log_pmf_ratio",
+    "mc_tv_lower_bound", "mixture_pmf", "pmf_ratio",
+    "poisson_interval_mass", "poisson_log_pmf", "poisson_pmf", "poissonize",
+    "poissonized_sample_cap", "read_frequency_vector", "read_records_csv",
+    "read_records_jsonl", "read_symbols", "realize_family",
+    "run_experiment", "run_full_tester", "run_interval_tester",
+    "sample_poisson", "stage_failure_budget", "stage_sample_target",
+    "stream_from_distribution", "subset_thresholds", "summarize_records",
+    "test_uniformity", "tracker_feed", "tracker_new", "tracker_run",
+    "tv_distance", "wilson_interval", "write_records_csv",
+    "write_records_jsonl", "write_summary",
 ]

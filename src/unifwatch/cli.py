@@ -66,7 +66,7 @@ def _parse_rates(text: str) -> PoissonMixture:
 
 def _overrides_from(args: argparse.Namespace) -> dict:
     overrides = {}
-    for key in ("r", "s", "x_max", "tau"):
+    for key in ("r", "s"):
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value

@@ -11,23 +11,20 @@ carry an explicit certificate of the mass left behind.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from typing import Callable
 
 import numpy as np
 
-from .distances import (DiscreteDistribution, PoissonMixture,
-                        StructureViolationError, hellinger_sq_bernoulli,
-                        log_pmf_ratio, mixture_pmf, poisson_log_pmf)
+from .distances import (PoissonMixture, StructureViolationError,
+                        hellinger_sq_bernoulli, log_pmf_ratio, mixture_pmf,
+                        poisson_log_pmf)
 from .full_tester import FullTesterParams, _split_histograms
 from .interval_tester import (ACCEPT, REJECT, IntervalWitness, Verdict,
                               interval_mass_matrix, poisson_pmf_table)
 from .poisson import SeededRng
 
-BRUTE_FORCE_CEILING = 10_000_000
 EXTENSION_CEILING = 1_000_000
 
 
@@ -220,24 +217,6 @@ def threshold_set_structure(mu: float, mix: PoissonMixture, r: float,
     return ThresholdSetStructure(kind="interval", a=first, b=second - 1)
 
 
-def brute_force_tv_product(p: DiscreteDistribution, q: DiscreteDistribution,
-                           m: int) -> float:
-    """TV distance between m-fold products by enumerating all |domain|^m tuples."""
-    if p.n != q.n:
-        raise ValueError(f"domain mismatch: {p.n} vs {q.n}")
-    m = int(m)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if p.n ** m > BRUTE_FORCE_CEILING:
-        raise ValueError(f"{p.n}^{m} tuples exceed the {BRUTE_FORCE_CEILING} ceiling")
-    prod_p = p.probs.copy()
-    prod_q = q.probs.copy()
-    for _ in range(m - 1):
-        prod_p = (prod_p[:, None] * p.probs[None, :]).ravel()
-        prod_q = (prod_q[:, None] * q.probs[None, :]).ravel()
-    return 0.5 * float(np.abs(prod_p - prod_q).sum())
-
-
 def literal_full_tester(params: FullTesterParams, freq: np.ndarray,
                         rng: SeededRng) -> Verdict:
     """Full tester with a fresh random subset for every (k, interval, repeat).
@@ -309,43 +288,3 @@ def mc_tv_lower_bound(sample_p: Callable[[np.random.Generator], float],
     p_ge = 1.0 - np.searchsorted(p_sorted, thresholds, side="left") / trials
     q_ge = 1.0 - np.searchsorted(q_sorted, thresholds, side="left") / trials
     return float(np.abs(p_ge - q_ge).max())
-
-
-def calibrate_good_interval_constant(seed: int, count: int) -> dict:
-    """Measure how strong the best interval is relative to the full distance.
-
-    For seeded random (mu, mixture) pairs, records
-    c = eps / (best_value * ln(4/eps)) where eps is the exact squared
-    Hellinger distance; the corpus maximum is the empirical constant in
-    "some interval achieves at least eps / (C * ln(4/eps))".  The pinned
-    fixture freezes one run of this so drift is caught by regression.
-    """
-    gen = SeededRng(seed).generator
-    instances = []
-    worst = 0.0
-    produced = 0
-    while produced < count:
-        mu = float(gen.uniform(0.5, 25.0))
-        k = int(gen.integers(1, 5))
-        rates = np.round(gen.uniform(0.0, 35.0, size=k), 6)
-        mix = PoissonMixture(rates)
-        eps, _ = exact_hellinger_poisson_vs_mixture(mu, mix, 1e-12)
-        if eps < 1e-4:
-            continue  # skip near-identical pairs; the ratio is 0/0 noise there
-        x_max = int(math.ceil(2.0 * max([mu] + rates.tolist()) + 80.0))
-        found = best_interval(mu, mix, x_max)
-        c = eps / (found.value * math.log(4.0 / eps))
-        worst = max(worst, c)
-        instances.append({
-            "mu": mu, "rates": rates.tolist(), "hellinger_sq": eps,
-            "best_a": found.a, "best_b": found.b, "best_value": found.value,
-            "constant": c,
-        })
-        produced += 1
-    return {"seed": seed, "count": count, "constant": worst, "instances": instances}
-
-
-def load_pinned_calibration() -> dict:
-    """Pinned oracle corpus: calibration constant plus frozen reference values."""
-    payload = resources.files("unifwatch").joinpath("data/calibration.json")
-    return json.loads(payload.read_text())

@@ -227,22 +227,6 @@ def depoissonize(freq: np.ndarray, rng: SeededRng) -> np.ndarray:
     return rng.generator.permutation(symbols)
 
 
-def sample_perm_poisson(rates: np.ndarray, rng: SeededRng) -> np.ndarray:
-    """Sample counts from a uniformly relabeled Poisson product.
-
-    Permutes the rate vector uniformly at random, then draws each coordinate
-    independently Poisson.  This is the null model for testers that must be
-    label-blind.
-    """
-    rates = np.asarray(rates, dtype=np.float64)
-    if rates.ndim != 1 or rates.size < 1:
-        raise ValueError("rates must be a nonempty 1-D array")
-    if not np.all(np.isfinite(rates)) or rates.min() < 0:
-        raise ValueError("rates must be finite and nonnegative")
-    perm = rng.generator.permutation(rates.size)
-    return rng.generator.poisson(rates[perm]).astype(np.int64)
-
-
 class SymbolStream:
     """Block-readable stream of 1-based symbols with a consumption counter.
 

@@ -8,22 +8,22 @@ stream, while any fixed non-uniform source is caught once the stage budget
 passes what the instance needs, with expected overshoot bounded by a
 geometric sum over later stages.
 
-Each stage pre-reserves its full sample target before resolving, so the
-samples consumed by a run are a deterministic function of the seed.
+Each stage runs one UniformityTestConfig, built as the stage starts.  It
+fixes the samples the stage pre-reserves before resolving, so the samples
+consumed by a run are a deterministic function of the seed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .interval_tester import REJECT
 from .poisson import SeededRng, SymbolStream
-from .uniformity_tester import (UniformityTestConfig, collision_group_count,
-                                poissonized_sample_cap, test_uniformity)
+# poissonized_sample_cap is unused here; perfbench's trace wrap points look it up.
+from .uniformity_tester import poissonized_sample_cap  # noqa: F401
+from .uniformity_tester import UniformityTestConfig, test_uniformity
 
 PLAUSIBLE = "plausible"
 REJECTED = "reject"
@@ -59,24 +59,15 @@ class TrackerState:
     cumulative_samples: int = 0
     history: list[StageRecord] = field(default_factory=list)
     _buffer: list = field(default_factory=list, repr=False)
-    # Samples the current stage reserves.  Derived once per stage (here and
-    # when _resolve_stage advances), not once per fed symbol.
-    stage_target: int = field(init=False)
+    # The current stage's plan, built as the stage starts, not per fed symbol.
+    config: UniformityTestConfig = field(init=False)
 
     def __post_init__(self):
-        self._set_stage_target()
+        self._plan_stage()
 
-    @property
-    def m(self) -> int:
-        return 1 << self.stage
-
-    @property
-    def stage_delta(self) -> float:
-        return stage_failure_budget(self.delta, self.stage)
-
-    def _set_stage_target(self) -> None:
-        self.stage_target = stage_sample_target(self.n, self.m, self.stage_delta,
-                                                self.overrides)
+    def _plan_stage(self) -> None:
+        delta = stage_failure_budget(self.delta, self.stage)
+        self.config = UniformityTestConfig(self.n, 1 << self.stage, delta, self.overrides)
 
 
 def stage_failure_budget(delta: float, stage: int) -> float:
@@ -86,37 +77,31 @@ def stage_failure_budget(delta: float, stage: int) -> float:
 
 def stage_sample_target(n: int, m: int, stage_delta: float,
                         overrides: dict | None = None) -> int:
-    """Samples a stage reserves before resolving: g*m or the Poissonized cap."""
-    if m <= math.sqrt(n) / 2.0:
-        return collision_group_count(stage_delta) * m
-    cap, _, _ = poissonized_sample_cap(n, m, stage_delta, overrides)
-    return cap
+    """Samples a stage reserves before resolving: its plan's reservation."""
+    return UniformityTestConfig(n=n, m=m, delta=stage_delta,
+                                overrides=overrides or {}).samples_reserved
 
 
 def tracker_new(n: int, delta: float, seed: int | SeededRng,
                 overrides: dict | None = None,
                 max_stage: int | None = None) -> TrackerState:
     """Fresh tracker at stage 0 (m = 1) with stage failure budget delta/2."""
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if max_stage is not None and max_stage < 0:
         raise ValueError("max_stage must be nonnegative")
     rng = seed if isinstance(seed, SeededRng) else SeededRng(int(seed))
-    return TrackerState(n=n, delta=float(delta), rng=rng,
+    return TrackerState(n=int(n), delta=float(delta), rng=rng,
                         overrides=dict(overrides or {}), max_stage=max_stage)
 
 
 def _resolve_stage(state: TrackerState, buffered: np.ndarray) -> str:
     """Run the stage tester on the reserved buffer and advance or stop."""
-    config = UniformityTestConfig(n=state.n, m=state.m, delta=state.stage_delta,
-                                  overrides=state.overrides)
+    config = state.config
     verdict, report = test_uniformity(config, SymbolStream(buffered),
                                       state.rng.child(state.stage))
     state.history.append(StageRecord(
-        stage=state.stage, m=state.m, stage_delta=state.stage_delta,
+        stage=state.stage, m=config.m, stage_delta=config.delta,
         branch=report.branch, outcome=verdict.outcome, samples=buffered.size))
     if verdict.outcome == REJECT:
         state.status = REJECTED
@@ -127,7 +112,7 @@ def _resolve_stage(state: TrackerState, buffered: np.ndarray) -> str:
         state.status = BUDGET_EXHAUSTED
         return BUDGET_EXHAUSTED
     state.stage += 1
-    state._set_stage_target()
+    state._plan_stage()
     return PLAUSIBLE
 
 
@@ -145,7 +130,7 @@ def tracker_feed(state: TrackerState, symbol: int) -> str:
         raise ValueError(f"symbol {symbol} out of range 1..{state.n}")
     state._buffer.append(symbol)
     state.cumulative_samples += 1
-    if len(state._buffer) < state.stage_target:
+    if len(state._buffer) < state.config.samples_reserved:
         return PLAUSIBLE
     buffered = np.asarray(state._buffer, dtype=np.int64)
     state._buffer = []
@@ -161,7 +146,7 @@ def tracker_run(state: TrackerState, stream: SymbolStream,
     max_samples (returning the current status, still plausible).
     """
     while state.status == PLAUSIBLE:
-        need = state.stage_target - len(state._buffer)
+        need = state.config.samples_reserved - len(state._buffer)
         if max_samples is not None and state.cumulative_samples + need > max_samples:
             return state.status
         block = stream.take(need)
@@ -175,29 +160,3 @@ def tracker_run(state: TrackerState, stream: SymbolStream,
         if outcome != PLAUSIBLE:
             return outcome
     return state.status
-
-
-def tracker_expected_samples_bound(stage_sample_fn: Callable[[int], float],
-                                   h: int, soundness: float = STAGE_SOUNDNESS,
-                                   tol: float = 1e-9, max_terms: int = 200) -> float:
-    """Expected-consumption bound once stage h suffices for the instance.
-
-    Sum of all earlier stage costs plus a geometric series over later ones:
-    sum_{l < h} f(2^l) + sum_{j >= 0} soundness^j * f(2^(h+j)).  The series
-    is truncated once a term stops moving the total by a relative tol; it
-    converges whenever f grows polynomially.
-    """
-    if h < 0:
-        raise ValueError("h must be nonnegative")
-    total = math.fsum(stage_sample_fn(1 << level) for level in range(h))
-    tail = 0.0
-    weight = 1.0
-    for j in range(max_terms):
-        term = weight * stage_sample_fn(1 << (h + j))
-        tail += term
-        if j > 0 and term < tol * max(tail, 1.0):
-            break
-        weight *= soundness
-    else:
-        raise ValueError("stage cost series did not converge; is it polynomial?")
-    return total + tail

@@ -15,6 +15,9 @@ Two regimes, picked by the sample budget m:
   2*s*m' + 6*ln(2/delta) is a distinct budget-exceeded outcome (probability
   at most delta), never a silent over-read.
 
+A UniformityTestConfig is the plan: building one picks the branch and derives
+its reservation and parameters once; test_uniformity only runs it.
+
 Also included: the classic pairwise-collision-count baseline used for
 comparisons.
 """
@@ -36,17 +39,23 @@ BRANCH_POISSONIZED = "poissonized"
 
 @dataclass(frozen=True)
 class UniformityTestConfig:
-    """Budgeted test request: domain size n, target budget m, failure budget delta.
+    """Budgeted test plan: domain size n, target budget m, failure budget delta.
 
-    overrides are keyword arguments forwarded to derive_full_params (r, s,
-    x_max, tau) when the Poissonized branch runs; experiments that lower r
-    for runtime state so explicitly.
+    Construction derives the branch, the samples it reserves (g*m, or the
+    Poissonized cap) and, if Poissonized, the full tester's params and the
+    Poisson mean s*m'.  overrides are keyword arguments forwarded to
+    derive_full_params (r, s, x_max, tau), so a bad one raises here;
+    experiments that lower r for runtime state so explicitly.
     """
 
     n: int
     m: int
     delta: float
     overrides: dict = field(default_factory=dict)
+    branch: str = field(init=False, compare=False)
+    samples_reserved: int = field(init=False, compare=False)
+    params: FullTesterParams | None = field(init=False, compare=False, default=None)
+    poisson_mean: float | None = field(init=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.n < 2:
@@ -55,6 +64,16 @@ class UniformityTestConfig:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        if self.m <= math.sqrt(self.n) / 2.0:
+            plan = {"branch": BRANCH_COLLISION,
+                    "samples_reserved": collision_group_count(self.delta) * self.m}
+        else:
+            cap, params, m_prime = poissonized_sample_cap(self.n, self.m, self.delta,
+                                                          self.overrides)
+            plan = {"branch": BRANCH_POISSONIZED, "samples_reserved": cap,
+                    "params": params, "poisson_mean": params.s * float(m_prime)}
+        for name, value in plan.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -101,11 +120,8 @@ def collision_group_test(n: int, m: int, delta: float, stream: SymbolStream
     block = stream.take(total).reshape(g, m)
     if block.size and (block.min() < 1 or block.max() > n):
         raise ValueError(f"symbol out of range 1..{n}")
-    if m < 2:
-        collided = 0
-    else:
-        ordered = np.sort(block, axis=1)
-        collided = int(np.any(ordered[:, 1:] == ordered[:, :-1], axis=1).sum())
+    ordered = np.sort(block, axis=1)
+    collided = int(np.any(ordered[:, 1:] == ordered[:, :-1], axis=1).sum())
     outcome = REJECT if collided > g / 2 else ACCEPT
     verdict = Verdict(outcome=outcome,
                       witness=CollisionWitness(groups=g, collided=collided))
@@ -121,29 +137,24 @@ def _draw_total(rng: SeededRng, mean: float) -> int:
 
 def test_uniformity(config: UniformityTestConfig, stream: SymbolStream,
                     rng: SeededRng) -> tuple[Verdict, SampleBudgetReport]:
-    """Route the budget to the right branch and run it.
+    """Run the config's plan on the stream.
 
     Child RNG layout: child(0) draws the Poissonized total, child(1) permutes
     the frequency vector, child(2) drives the full tester.  The collision
     branch needs no randomness beyond the stream itself.
     """
-    n, m, delta = config.n, config.m, config.delta
-    if m <= math.sqrt(n) / 2.0:
-        return collision_group_test(n, m, delta, stream)
+    if config.branch == BRANCH_COLLISION:
+        return collision_group_test(config.n, config.m, config.delta, stream)
 
-    cap, params, m_prime = poissonized_sample_cap(n, m, delta, config.overrides)
-    total = _draw_total(rng.child(0), params.s * float(m_prime))
-    if total > cap:
-        report = SampleBudgetReport(samples_requested=cap, samples_consumed=0,
-                                    branch=BRANCH_POISSONIZED)
-        return Verdict(outcome=BUDGET_EXCEEDED), report
-
-    samples = stream.take(total)
-    freq = poissonize(samples, n)
-    freq = rng.child(1).generator.permutation(freq)
-    verdict = run_full_tester(params, freq, rng.child(2))
-    report = SampleBudgetReport(samples_requested=cap, samples_consumed=total,
-                                branch=BRANCH_POISSONIZED)
+    total = _draw_total(rng.child(0), config.poisson_mean)
+    if total > config.samples_reserved:
+        verdict, total = Verdict(outcome=BUDGET_EXCEEDED), 0
+    else:
+        freq = poissonize(stream.take(total), config.n)
+        freq = rng.child(1).generator.permutation(freq)
+        verdict = run_full_tester(config.params, freq, rng.child(2))
+    report = SampleBudgetReport(samples_requested=config.samples_reserved,
+                                samples_consumed=total, branch=BRANCH_POISSONIZED)
     return verdict, report
 
 

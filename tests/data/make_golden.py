@@ -144,7 +144,7 @@ def tracker_steps_case(family, n, delta, seed, max_stage, overrides=None,
         stream = _stream(family, n, seed + 1, **params)
         steps = []
         while state.status == "plausible":
-            cap = state.cumulative_samples + state.stage_target
+            cap = state.cumulative_samples + state.config.samples_reserved
             outcome = tracker_run(state, stream, max_samples=cap)
             steps.append([outcome, state.stage, state.cumulative_samples,
                           stream.consumed])

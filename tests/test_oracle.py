@@ -14,11 +14,12 @@ import pytest
 from unifwatch import (BestInterval, DiscreteDistribution, PoissonMixture,
                        SeededRng, StructureViolationError,
                        ThresholdSetStructure, best_interval,
-                       brute_force_tv_product, calibrate_good_interval_constant,
                        estimate_opt_samples, exact_hellinger_poisson_vs_mixture,
-                       exact_tv_poisson_vs_mixture, load_pinned_calibration,
-                       mc_tv_lower_bound, pmf_ratio, threshold_set_structure,
-                       tv_distance)
+                       exact_tv_poisson_vs_mixture, mc_tv_lower_bound,
+                       pmf_ratio, threshold_set_structure, tv_distance)
+
+from reference import (brute_force_tv_product, calibrate_good_interval_constant,
+                       load_pinned_calibration)
 
 MIX_5_15 = PoissonMixture([5.0, 15.0])
 

@@ -14,10 +14,12 @@ from scipy import stats
 
 from unifwatch import (DiscreteDistribution, SeededRng, StreamExhausted,
                        SymbolStream, depoissonize, poissonize,
-                       read_frequency_vector, read_symbols, sample_perm_poisson,
-                       sample_poisson, stream_from_distribution)
+                       read_frequency_vector, read_symbols, sample_poisson,
+                       stream_from_distribution)
 from unifwatch.poisson import (child_keys, child_permutations, poisson_split,
                                validate_frequency_vector)
+
+from reference import sample_perm_poisson
 
 
 def test_seeded_rng_reproducible():

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unifwatch import tracker
+from unifwatch import tracker, uniformity_tester
 from unifwatch import (BRANCH_COLLISION, BRANCH_POISSONIZED, BUDGET_EXHAUSTED,
                        PLAUSIBLE, REJECTED, DiscreteDistribution, SeededRng,
                        SymbolStream, collision_group_count,
                        stage_failure_budget, stage_sample_target,
-                       stream_from_distribution, tracker_expected_samples_bound,
-                       tracker_feed, tracker_new, tracker_run)
+                       stream_from_distribution, tracker_feed, tracker_new,
+                       tracker_run)
+
+from reference import tracker_expected_samples_bound
 
 
 def test_stage_failure_budget_schedule():
@@ -44,8 +46,9 @@ def test_tracker_new_validation():
     with pytest.raises(ValueError):
         tracker_new(n=10, delta=0.1, seed=0, max_stage=-1)
     state = tracker_new(n=10, delta=0.1, seed=SeededRng(5))
-    assert state.stage == 0 and state.m == 1
-    assert state.stage_delta == pytest.approx(0.05)
+    assert state.stage == 0 and state.config.m == 1
+    assert state.config.delta == pytest.approx(0.05)
+    assert state.config.samples_reserved == collision_group_count(0.05)
 
 
 def test_point_mass_rejects_at_second_stage():
@@ -147,15 +150,16 @@ def test_feed_and_run_agree_for_any_chunking(seed, support, length, cuts):
 
 
 def test_feed_derives_each_stage_target_once(monkeypatch):
-    """tracker_feed reads a stored target; it derives one per stage only."""
+    """tracker_feed reads the stored stage plan; it builds one per stage only."""
     calls = []
-    derive = tracker.stage_sample_target
+    plan = tracker.UniformityTestConfig
 
-    def counting(n, m, stage_delta, overrides=None):
-        calls.append(m)
-        return derive(n, m, stage_delta, overrides)
+    def counting(*args, **kwargs):
+        config = plan(*args, **kwargs)
+        calls.append(config.m)
+        return config
 
-    monkeypatch.setattr(tracker, "stage_sample_target", counting)
+    monkeypatch.setattr(tracker, "UniformityTestConfig", counting)
     state = tracker_new(n=256, delta=0.2, seed=13, max_stage=3)
     stream = stream_from_distribution(DiscreteDistribution.uniform(256),
                                       SeededRng(14))
@@ -166,6 +170,32 @@ def test_feed_derives_each_stage_target_once(monkeypatch):
     assert state.cumulative_samples == 3307
     assert len(state.history) == 4
     assert calls == [1, 2, 4, 8]
+
+
+def _feed_all(state, stream):
+    while state.status == PLAUSIBLE:
+        tracker_feed(state, int(stream.take(1)[0]))
+
+
+@pytest.mark.parametrize("drive", [tracker_run, _feed_all])
+def test_poissonized_stage_derives_params_once(monkeypatch, drive):
+    """n = 64: stages m = 8 and m = 16 are Poissonized; each derives once."""
+    calls = []
+    derive = uniformity_tester.derive_full_params
+
+    def counting(n, mu, delta, **overrides):
+        calls.append(mu)
+        return derive(n, mu, delta, **overrides)
+
+    monkeypatch.setattr(uniformity_tester, "derive_full_params", counting)
+    state = tracker_new(n=64, delta=0.2, seed=19, max_stage=4,
+                        overrides={"r": 2})
+    drive(state, stream_from_distribution(DiscreteDistribution.uniform(64),
+                                          SeededRng(20)))
+    assert state.status == BUDGET_EXHAUSTED
+    assert [rec.branch for rec in state.history] == \
+        [BRANCH_COLLISION] * 3 + [BRANCH_POISSONIZED] * 2
+    assert calls == [20 / 64, 32 / 64]  # m' = max(2m, 20) over n
 
 
 def test_run_respects_max_samples_and_resumes():

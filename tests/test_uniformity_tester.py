@@ -58,7 +58,8 @@ def test_branch_predicate_exact():
     stream = stream_from_distribution(DiscreteDistribution.uniform(1600),
                                       SeededRng(44))
     verdict, report = run_uniformity(config, stream, SeededRng(45))
-    assert report.branch == BRANCH_POISSONIZED
+    assert report.branch == config.branch == BRANCH_POISSONIZED
+    assert report.samples_requested == config.samples_reserved
     assert report.samples_consumed <= report.samples_requested
 
 
@@ -168,8 +169,10 @@ def test_collision_branch_stream_exhaustion():
 
 
 def test_config_validation():
+    # an invalid override raises when the Poissonized plan is built
     for kwargs in [dict(n=1, m=5, delta=0.1), dict(n=10, m=0, delta=0.1),
-                   dict(n=10, m=5, delta=1.0)]:
+                   dict(n=10, m=5, delta=1.0),
+                   dict(n=64, m=32, delta=0.1, overrides={"r": 0})]:
         with pytest.raises(ValueError):
             UniformityTestConfig(**kwargs)
 
