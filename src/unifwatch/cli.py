@@ -159,6 +159,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     with open(args.config, encoding="utf-8") as handle:
         raw = json.load(handle)
+    unknown = sorted(set(raw) - {"tester", "family", "trials", "seed", "params"})
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     family_raw = dict(raw["family"])
     if "probs" in family_raw and family_raw["probs"] is not None:
         family_raw["probs"] = tuple(family_raw["probs"])
@@ -167,7 +170,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         family=DistributionFamilySpec(**family_raw),
         trials=args.trials if args.trials is not None else int(raw["trials"]),
         seed=args.seed if args.seed is not None else int(raw["seed"]),
-        tester_params=raw.get("overrides") or raw.get("params") or {})
+        tester_params=raw.get("params") or {})
     records, summary = run_experiment(config)
     if args.out:
         if args.format == "csv":

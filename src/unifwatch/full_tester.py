@@ -23,8 +23,9 @@ cells of the live triangle per k, as one matrix product of the subset
 prefix sums and two comparisons, instead of the (x_max+1)(x_max+2)/2 cells
 of the full triangle.  The rejection bounds are built one K_BLOCK block of
 k at a time, when repeat 0 reaches the block, and only their reduction to
-the live triangle is kept; the exact b, or (a, b), of a folded or
-zero-count witness is recovered from one k's bounds on rejection.
+the live triangle is kept.  A rejection names its repeat and k; the witness
+is then found by interval_tester.first_violation on that subset's prefix
+counts over all of [0, x_max], the same scan the interval tester runs.
 
 Repeat j draws its permutation from rng.child(1 + j).  Repeat 0 runs alone,
 so a rejection there builds no later block and derives no later
@@ -40,13 +41,13 @@ the lowest witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
 
-from .distances import hellinger_sq_bernoulli, hellinger_sq_bernoulli_bounds
-from .interval_tester import (ACCEPT, REJECT, IntervalWitness, Verdict,
+from .distances import hellinger_sq_bernoulli_bounds
+from .interval_tester import (ACCEPT, REJECT, Verdict, first_violation,
                               interval_mass_matrix, poisson_pmf_table)
 from .poisson import (SeededRng, child_permutations, poisson_split,
                       validate_frequency_vector)
@@ -119,6 +120,9 @@ def derive_full_params(n: int, mu: float, delta: float,
         tau = 1.0 / (16.0 * big_l * big_l)
     if r is None:
         r = math.ceil(8.0 * math.log(2.0 / delta) * n * big_l)
+    if r < 1 or x_max < 0 or not tau > 0.0:
+        raise ValueError(f"r must be >= 1, x_max >= 0 and tau > 0, got r={r}, "
+                         f"x_max={x_max}, tau={tau}")
     if s is None:
         s = math.ceil((1.0 / tau) * math.log(8.0 * (x_max + 1) ** 2 * n * r / delta))
     params = FullTesterParams(n=n, mu=mu, tau=float(tau), s=int(s), r=int(r),
@@ -157,8 +161,7 @@ def _split_histograms(params: FullTesterParams, freq: np.ndarray,
     return hist
 
 
-def _scaled_bounds(params: FullTesterParams, mu_mass: np.ndarray,
-                   valid: np.ndarray, k0: int = 0,
+def _scaled_bounds(params: FullTesterParams, mu_mass: np.ndarray, k0: int = 0,
                    k1: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-(k, a, b) rejection bounds on raw interval counts, for k in k0+1..k1.
 
@@ -168,7 +171,8 @@ def _scaled_bounds(params: FullTesterParams, mu_mass: np.ndarray,
     Scaling by s*k once lets each repeat test raw prefix-sum differences
     with two comparisons and no square roots.  Row j of the result is subset
     size k0+1+j; the formula is elementwise, so any k-range is bit-identical
-    to the same rows of the full (n, x_max+1, x_max+1) arrays.
+    to the same rows of the full (n, x_max+1, x_max+1) arrays.  The cells
+    a > b are no interval and get bounds that never fire.
     """
     k1 = params.n if k1 is None else k1
     lo, hi = hellinger_sq_bernoulli_bounds(
@@ -176,8 +180,9 @@ def _scaled_bounds(params: FullTesterParams, mu_mass: np.ndarray,
     scale = params.s * np.arange(k0 + 1, k1 + 1, dtype=np.float64)[:, None, None]
     lo *= scale
     hi *= scale
-    lo[:, ~valid] = -np.inf
-    hi[:, ~valid] = np.inf
+    below = np.tri(mu_mass.shape[0], k=-1, dtype=bool)  # a > b
+    lo[:, below] = -np.inf
+    hi[:, below] = np.inf
     return lo, hi
 
 
@@ -239,50 +244,37 @@ def run_full_tester(params: FullTesterParams, freq: np.ndarray,
     of k as it reaches them, so a rejection in an early block never builds
     the later ones.  intervals_evaluated still counts every cell of each
     block scanned: a cell proved silent without a comparison is decided all
-    the same.
+    the same.  The witness is the lowest (a, b) that first_violation finds
+    in the rejecting subset's prefix counts at threshold tau/k and scale
+    s*k.
     """
     hist = _split_histograms(params, freq, rng.child(0))
     n, width = params.n, params.x_max + 1
     per_k_intervals = width * (width + 1) // 2
     mu_mass = interval_mass_matrix(poisson_pmf_table(params.mu, params.x_max))
-    valid = np.triu(np.ones((width, width), dtype=bool))
     present = np.flatnonzero(hist.any(axis=0))
     live = int(present[-1]) + 1 if present.size else 0
     cell_a, cell_b, diff = _live_cells(live)
     row_prefix = np.zeros((n, live + 1))  # parts of coordinate i below x
     np.cumsum(hist[:, :live], axis=1, out=row_prefix[:, 1:])
 
-    def reject(rep: int, k: int, counts: np.ndarray, viol: np.ndarray) -> Verdict:
-        """The lowest witness of repeat rep at size k, from that k's row of
-        live-cell counts and violations (none there: a zero-count cell)."""
+    def reject(rep: int, k: int, prefix_row: np.ndarray) -> Verdict:
+        """The lowest witness of repeat rep at size k, from the subset's
+        live prefix counts; every count at x >= live equals the last."""
         # count whole K_BLOCK blocks, up to the one holding the witness
         evaluated = (rep * n + min(-(-k // K_BLOCK) * K_BLOCK, n)) * per_k_intervals
-        lo_k, hi_k = _scaled_bounds(params, mu_mass, valid, k - 1, k)
-        if viol.any():
-            cell = int(np.argmax(viol))
-            a, b = int(cell_a[cell]), int(cell_b[cell])
-            count = float(counts[cell])
-            if b == live - 1:
-                fires = (count <= lo_k[0, a, b:]) | (count >= hi_k[0, a, b:])
-                b += int(np.argmax(fires))
-        else:
-            fires = (lo_k[0, live:] >= 0.0) | (hi_k[0, live:] <= 0.0)
-            a, b = divmod(int(np.argmax(fires)), width)
-            a += live
-            count = 0.0
-        est = min(max(count / (params.s * k), 0.0), 1.0)
-        witness = IntervalWitness(
-            a=a, b=b, mu_mass=float(mu_mass[a, b]), est_mass=est,
-            hellinger_sq=float(hellinger_sq_bernoulli(float(mu_mass[a, b]), est)),
-            repeat=rep, subset_size=k)
-        return Verdict(outcome=REJECT, witness=witness, intervals_evaluated=evaluated)
+        row = np.pad(prefix_row, (0, width - live), mode="edge")
+        witness = first_violation(row, mu_mass, subset_thresholds(params)[k - 1],
+                                  params.s * k)
+        return Verdict(outcome=REJECT, intervals_evaluated=evaluated,
+                       witness=replace(witness, repeat=rep, subset_size=k))
 
     perm = next(child_permutations(rng, 1, 1, n))
     prefix = np.cumsum(row_prefix[perm], axis=0)                 # (k, x)
     tables = None  # (lo, hi, zero_fires) of the live triangle, one row per k
     for k0 in range(0, n, K_BLOCK):
         k1 = min(k0 + K_BLOCK, n)
-        parts = _live_tables(*_scaled_bounds(params, mu_mass, valid, k0, k1),
+        parts = _live_tables(*_scaled_bounds(params, mu_mass, k0, k1),
                              cell_a, cell_b, live)
         if tables is None:  # allocated after the first block's peak
             tables = [np.empty((n,) + p.shape[1:], p.dtype) for p in parts]
@@ -294,7 +286,7 @@ def run_full_tester(params: FullTesterParams, freq: np.ndarray,
         fired = viol.any(axis=1) | zero_fires
         if fired.any():
             k_off = int(np.argmax(fired))
-            return reject(0, k0 + k_off + 1, counts[k_off], viol[k_off])
+            return reject(0, k0 + k_off + 1, prefix[k0 + k_off])
 
     # Repeat 0 accepted, so no zero-count cell fires at any k, and the later
     # repeats compare only the live cells, a batch of repeats at a time.
@@ -314,7 +306,7 @@ def run_full_tester(params: FullTesterParams, freq: np.ndarray,
         if below.any() or above.any():
             viol = below | above
             j, k_off = divmod(int(np.argmax(viol.any(axis=2))), n)
-            return reject(rep + j, k_off + 1, counts[j, k_off], viol[j, k_off])
+            return reject(rep + j, k_off + 1, prefix[j * n + k_off])
         rep += size
         size *= 2
     return Verdict(outcome=ACCEPT, intervals_evaluated=params.r * n * per_k_intervals)

@@ -6,6 +6,8 @@ sample, then compares the empirical mass of every integer interval [a, b]
 inside [0, x_max] against the exact Poi(mu) interval mass with a Bernoulli
 squared-Hellinger threshold.  Some interval must separate the two cases, so
 scanning all of them loses nothing but constants.
+first_violation runs that scan on one row of prefix counts, for
+run_interval_tester and for each rejection of the full tester.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distances import hellinger_sq_bernoulli, poisson_log_pmf
+from .distances import (hellinger_sq_bernoulli, hellinger_sq_bernoulli_bounds,
+                        poisson_log_pmf)
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -74,18 +77,14 @@ class Verdict:
             raise ValueError(f"unknown outcome {self.outcome!r}")
 
 
-def derive_interval_params(mu: float, eps: float, delta: float,
-                           tau: float | None = None,
-                           x_max: int | None = None,
-                           m: int | None = None) -> IntervalTesterParams:
+def derive_interval_params(mu: float, eps: float, delta: float) -> IntervalTesterParams:
     """Operating point for target Hellinger gap eps and failure budget delta.
 
     x_max = ceil(2*mu + 6*ln(200*ln(4/eps)/eps)) + 1
     tau   = eps / (64*ln(4/eps))
     m     = ceil(8*ln(8*(x_max+1)^2/delta) / tau)
 
-    The keyword arguments override the corresponding derived constant; they
-    exist for experiments, not for routine use.
+    A custom operating point is an IntervalTesterParams built directly.
     """
     mu = float(mu)
     eps = float(eps)
@@ -97,13 +96,10 @@ def derive_interval_params(mu: float, eps: float, delta: float,
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     log_term = math.log(4.0 / eps)
-    if x_max is None:
-        x_max = math.ceil(2.0 * mu + 6.0 * math.log(200.0 * log_term / eps)) + 1
-    if tau is None:
-        tau = eps / (64.0 * log_term)
-    if m is None:
-        m = math.ceil(8.0 * math.log(8.0 * (x_max + 1) ** 2 / delta) / tau)
-    return IntervalTesterParams(mu=mu, tau=float(tau), x_max=int(x_max), m=int(m))
+    x_max = math.ceil(2.0 * mu + 6.0 * math.log(200.0 * log_term / eps)) + 1
+    tau = eps / (64.0 * log_term)
+    m = math.ceil(8.0 * math.log(8.0 * (x_max + 1) ** 2 / delta) / tau)
+    return IntervalTesterParams(mu=mu, tau=tau, x_max=x_max, m=m)
 
 
 def poisson_pmf_table(mu: float, x_max: int) -> np.ndarray:
@@ -118,12 +114,36 @@ def interval_mass_matrix(pmf: np.ndarray) -> np.ndarray:
     return np.clip(np.triu(mat), 0.0, 1.0)
 
 
+def first_violation(prefix: np.ndarray, mu_mass: np.ndarray, threshold: float,
+                    scale: float) -> IntervalWitness | None:
+    """Witness of the lexicographically first interval [a, b] that fires, or None.
+
+    prefix[j] counts the draws below j (j = 0..x_max+1), so [a, b] counts
+    prefix[b+1] - prefix[a], estimating mass count/scale.  It fires when
+    the count is <= lo*scale or >= hi*scale, (lo, hi) from
+    hellinger_sq_bernoulli_bounds at threshold: the gap reaches threshold,
+    except at threshold >= 2, where no interval fires, even at a gap of 2.
+    """
+    lo, hi = hellinger_sq_bernoulli_bounds(mu_mass, threshold)
+    lo *= scale
+    hi *= scale
+    counts = prefix[np.newaxis, 1:] - prefix[:-1, np.newaxis]
+    fires = np.triu((counts <= lo) | (counts >= hi))
+    if not fires.any():
+        return None
+    a, b = divmod(int(np.argmax(fires)), mu_mass.shape[1])  # C order = (a, b)
+    mass = float(mu_mass[a, b])
+    est = min(max(float(counts[a, b]) / scale, 0.0), 1.0)
+    return IntervalWitness(a=a, b=b, mu_mass=mass, est_mass=est,
+                           hellinger_sq=hellinger_sq_bernoulli(mass, est))
+
+
 def run_interval_tester(params: IntervalTesterParams, samples: np.ndarray) -> Verdict:
     """Scan every interval; reject on the first (lexicographic) violation.
 
     Counts above x_max are ignored (they fall in no interval).  The verdict
     is a pure function of (params, samples): O(m + x_max^2) time via a
-    prefix-summed histogram, one Hellinger evaluation per interval.
+    prefix-summed histogram and first_violation at threshold tau.
     """
     samples = np.asarray(samples)
     if samples.ndim != 1:
@@ -136,25 +156,9 @@ def run_interval_tester(params: IntervalTesterParams, samples: np.ndarray) -> Ve
         raise ValueError("samples must be nonnegative")
 
     x_max = params.x_max
-    kept = samples[samples <= x_max]
-    hist = np.bincount(kept, minlength=x_max + 1).astype(np.float64)
-    prefix = np.concatenate(([0.0], np.cumsum(hist)))
-    est = (prefix[np.newaxis, 1:] - prefix[:-1, np.newaxis]) / params.m
-
+    hist = np.bincount(samples[samples <= x_max], minlength=x_max + 1)
+    prefix = np.concatenate(([0.0], np.cumsum(hist, dtype=np.float64)))
     mu_mass = interval_mass_matrix(poisson_pmf_table(params.mu, x_max))
-    valid = np.triu(np.ones((x_max + 1, x_max + 1), dtype=bool))
-    est = np.clip(np.where(valid, est, 0.0), 0.0, 1.0)
-
-    gaps = hellinger_sq_bernoulli(mu_mass, est)
-    flags = (gaps >= params.tau) & valid
-    total = (x_max + 1) * (x_max + 2) // 2
-
-    if not flags.any():
-        return Verdict(outcome=ACCEPT, intervals_evaluated=total)
-    flat = int(np.argmax(flags))  # C order = lexicographic (a, b)
-    a, b = divmod(flat, x_max + 1)
-    witness = IntervalWitness(a=int(a), b=int(b),
-                              mu_mass=float(mu_mass[a, b]),
-                              est_mass=float(est[a, b]),
-                              hellinger_sq=float(gaps[a, b]))
-    return Verdict(outcome=REJECT, witness=witness, intervals_evaluated=total)
+    witness = first_violation(prefix, mu_mass, params.tau, params.m)
+    return Verdict(outcome=ACCEPT if witness is None else REJECT, witness=witness,
+                   intervals_evaluated=(x_max + 1) * (x_max + 2) // 2)

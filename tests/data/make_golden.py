@@ -211,10 +211,8 @@ def bounds_case(n, m, delta, overrides):
     """Digest of the full tester's scaled bounds at one operating point."""
     def run():
         _, params, _ = poissonized_sample_cap(n, m, delta, overrides)
-        width = params.x_max + 1
         mu_mass = interval_mass_matrix(poisson_pmf_table(params.mu, params.x_max))
-        valid = np.triu(np.ones((width, width), dtype=bool))
-        lo, hi = _scaled_bounds(params, mu_mass, valid)
+        lo, hi = _scaled_bounds(params, mu_mass)
         return {"params": params, "shape": list(lo.shape),
                 "lo_sha256": hashlib.sha256(lo.tobytes()).hexdigest(),
                 "hi_sha256": hashlib.sha256(hi.tobytes()).hexdigest()}

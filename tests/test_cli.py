@@ -46,6 +46,14 @@ def test_config_error_exits_2(tmp_path, capsys):
                                     "--delta", "0.1", "--samples", str(samples)])
     assert code == 2
     assert "error:" in err
+    # full-tester overrides that leave no operating point
+    for flag, value in [("--tau", "0"), ("--r", "0"), ("--r", "-3"),
+                        ("--x-max", "-1")]:
+        code, _, err = run_cli(capsys, ["full-test", "--n", "16", "--mu", "2",
+                                        "--delta", "0.2", "--freq", str(samples),
+                                        flag, value])
+        assert code == 2
+        assert "r must be >= 1, x_max >= 0 and tau > 0" in err
 
 
 def test_missing_file_exits_3(capsys):
@@ -251,10 +259,14 @@ def test_simulate_overrides_and_csv(tmp_path, capsys):
 
 def test_simulate_rejects_malformed_config(tmp_path, capsys):
     config = tmp_path / "bad.json"
-    config.write_text("{not json")
-    code, _, err = run_cli(capsys, ["simulate", "--config", str(config)])
-    assert code == 2
-    assert "error:" in err
+    # "params" is the one key for the tester params; another top-level key,
+    # such as "overrides", is refused rather than read or ignored
+    for text in ["{not json", json.dumps({**SIM_CONFIG, "overrides": {"m": 10}})]:
+        config.write_text(text)
+        code, out, err = run_cli(capsys, ["simulate", "--config", str(config)])
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
 
 
 SMOKE_ARGS = ["oracle", "opt-proxy", "--mu", "10", "--rates", "5,15"]

@@ -30,8 +30,7 @@ def _dense_full_tester(params, freq, rng):
     width = params.x_max + 1
     per_k_intervals = width * (width + 1) // 2
     mu_mass = interval_mass_matrix(poisson_pmf_table(params.mu, params.x_max))
-    valid = np.triu(np.ones((width, width), dtype=bool))
-    lo_counts, hi_counts = _scaled_bounds(params, mu_mass, valid)
+    lo_counts, hi_counts = _scaled_bounds(params, mu_mass)
     evaluated = 0
     for rep in range(params.r):
         perm = rng.child(1 + rep).generator.permutation(params.n)
@@ -119,6 +118,11 @@ def test_derive_validates_arguments():
                    dict(n=64, mu=2.0, delta=0.0)]:
         with pytest.raises(ValueError):
             derive_full_params(**kwargs)
+    # overrides are checked before s is derived from them
+    for override in [dict(r=0), dict(r=-3), dict(x_max=-1), dict(tau=0.0),
+                     dict(tau=-0.1), dict(tau=math.nan)]:
+        with pytest.raises(ValueError, match="r must be >= 1, x_max >= 0"):
+            derive_full_params(n=64, mu=2.0, delta=0.05, **override)
 
 
 def test_subset_thresholds_exact():

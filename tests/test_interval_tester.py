@@ -1,5 +1,6 @@
 """Interval tester: parameter derivation, scan semantics, witness identity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -43,15 +44,6 @@ def test_derive_monotone_in_difficulty():
     assert harder_eps.m > base.m and harder_eps.tau < base.tau
     assert harder_delta.m > base.m
     assert taller.x_max > base.x_max
-
-
-def test_derive_overrides_propagate():
-    via_tau = derive_interval_params(mu=4.0, eps=0.3, delta=0.05, tau=0.01)
-    assert via_tau.tau == 0.01
-    assert via_tau.m == math.ceil(8.0 * math.log(8.0 * (via_tau.x_max + 1) ** 2
-                                                 / 0.05) / 0.01)
-    via_m = derive_interval_params(mu=4.0, eps=0.3, delta=0.05, m=777)
-    assert via_m.m == 777
 
 
 def test_derive_rejects_bad_arguments():
@@ -110,7 +102,8 @@ def test_counts_above_ceiling_are_invisible():
 
 
 def test_verdict_is_deterministic():
-    params = derive_interval_params(mu=3.0, eps=0.4, delta=0.1, m=500)
+    params = dataclasses.replace(derive_interval_params(mu=3.0, eps=0.4, delta=0.1),
+                                 m=500)
     samples = SeededRng(22).generator.poisson(3.0, size=500)
     assert run_interval_tester(params, samples) == run_interval_tester(params, samples)
 
@@ -122,22 +115,27 @@ def test_interval_count_closed_form():
 
 
 def naive_scan(params, samples):
-    """Literal triple loop over (a, b, sample) for cross-checking."""
+    """Literal triple loop over (a, b, sample) for cross-checking.
+
+    Returns the outcome and, on reject, (a, b, mu_mass, est_mass, gap) of
+    the first interval whose gap reaches tau.
+    """
     kept = [int(x) for x in samples if x <= params.x_max]
     for a in range(params.x_max + 1):
         for b in range(a, params.x_max + 1):
             mu_mass = poisson_interval_mass(params.mu, a, b).mass
-            est = sum(1 for x in kept if a <= x <= b) / params.m
-            if hellinger_sq_bernoulli(mu_mass, min(est, 1.0)) >= params.tau:
-                return REJECT, (a, b)
+            est = min(sum(1 for x in kept if a <= x <= b) / params.m, 1.0)
+            gap = hellinger_sq_bernoulli(mu_mass, est)
+            if gap >= params.tau:
+                return REJECT, (a, b, mu_mass, est, gap)
     return ACCEPT, None
 
 
 def test_matches_naive_scan_on_random_instances():
     rng = SeededRng(23)
     gen = rng.generator
-    rejects = 0
-    for trial in range(60):
+    instances = []
+    for _ in range(60):
         mu = float(gen.uniform(0.2, 8.0))
         x_max = int(gen.integers(4, 14))
         m = int(gen.integers(30, 300))
@@ -148,13 +146,38 @@ def test_matches_naive_scan_on_random_instances():
         else:
             rates = gen.uniform(0.0, 12.0, size=2)
             samples = gen.poisson(gen.choice(rates, size=m))
+        instances.append((params, samples))
+    for _ in range(10):
+        params = IntervalTesterParams(mu=float(gen.uniform(0.0, 8.0)),
+                                      tau=float(gen.uniform(0.002, 1.5)),
+                                      x_max=int(gen.integers(0, 14)),
+                                      m=int(gen.integers(1, 300)))
+        # every sample above the ceiling, then every sample at 0
+        above = params.x_max + 1 + gen.poisson(params.mu, size=params.m)
+        instances.append((params, above))
+        instances.append((params, np.zeros(params.m, dtype=np.int64)))
+    rejects = 0
+    for trial, (params, samples) in enumerate(instances):
         fast = run_interval_tester(params, samples)
-        slow_outcome, slow_pair = naive_scan(params, samples)
+        slow_outcome, slow = naive_scan(params, samples)
         assert fast.outcome == slow_outcome, f"trial {trial}"
         if fast.outcome == REJECT:
             rejects += 1
-            assert (fast.witness.a, fast.witness.b) == slow_pair, f"trial {trial}"
+            a, b, mu_mass, est, gap = slow
+            w = fast.witness
+            assert (w.a, w.b) == (a, b), f"trial {trial}"
+            assert w.mu_mass == pytest.approx(mu_mass, abs=1e-12), f"trial {trial}"
+            assert w.est_mass == est, f"trial {trial}"
+            assert w.hellinger_sq == pytest.approx(gap, abs=1e-12), f"trial {trial}"
     assert rejects >= 10  # the mix of instances must exercise both outcomes
+
+    # The one input where the two forms part: at tau exactly 2 the bounds
+    # are sentinels, so an interval of mass exactly 1 (here [0, 0] under
+    # Poi(0)) with no draws, whose gap is exactly 2, does not fire.
+    params = IntervalTesterParams(mu=0.0, tau=2.0, x_max=3, m=5)
+    samples = np.ones(5, dtype=np.int64)
+    assert naive_scan(params, samples) == (REJECT, (0, 0, 1.0, 0.0, 2.0))
+    assert run_interval_tester(params, samples).outcome == ACCEPT
 
 
 def test_witness_masses_are_consistent():
