@@ -159,6 +159,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     with open(args.config, encoding="utf-8") as handle:
         raw = json.load(handle)
+    if not isinstance(raw, dict):
+        raise ValueError(f"the config must be a JSON object, got {json.dumps(raw)[:40]}")
     unknown = sorted(set(raw) - {"tester", "family", "trials", "seed", "params"})
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")

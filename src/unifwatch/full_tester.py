@@ -7,6 +7,13 @@ count is split exactly into s exchangeable parts, so every coordinate yields
 s i.i.d. Poi(lambda_i) looks.  A random subset of coordinates then pools
 into a Poisson mixture, and the one-shot interval comparison applies.
 
+The split throws balls into bins: poisson.poisson_split gives each sample
+of coordinate 0, then of coordinate 1, and so on, one uniform bin label
+drawn from rng.child(0), and a part is the number of labels in its bin.
+That costs O(sum(y) + n*s) vectorized operations, where one multinomial
+draw per coordinate costs s binomials, so it is cheap while the counts
+are small against s (mu of a few) and dearer at large mu.
+
 Subsets are shared across sizes: each repeat draws one permutation and grows
 a prefix k = 1..n, testing every interval at threshold tau/k.  That reuses
 one permutation for all k instead of resampling a fresh subset per
@@ -49,8 +56,8 @@ import numpy as np
 from .distances import hellinger_sq_bernoulli_bounds
 from .interval_tester import (ACCEPT, REJECT, Verdict, first_violation,
                               interval_mass_matrix, poisson_pmf_table)
-from .poisson import (SeededRng, child_permutations, poisson_split,
-                      validate_frequency_vector)
+from .poisson import (SPLIT_CHUNK, SeededRng, child_permutations,
+                      poisson_split, validate_frequency_vector)
 
 # The bounds are built for K_BLOCK subset sizes at a time, which caps each
 # of their (block, x_max+1, x_max+1) arrays at a few MB at typical ceilings,
@@ -146,6 +153,12 @@ def _split_histograms(params: FullTesterParams, freq: np.ndarray,
 
     Returns H with H[i, x] = number of parts of coordinate i equal to x,
     for x <= x_max; larger parts land in no interval and are dropped.
+    poisson_split splits groups of coordinates with at most SPLIT_CHUNK
+    parts and SPLIT_CHUNK samples each (or one coordinate), drawing the
+    labels of coordinate 0's samples first from rng, so H does not depend
+    on the grouping.  Each group is histogrammed with one np.minimum, which
+    sends every part above x_max to column x_max+1, and one bincount offset
+    by coordinate; that column is then dropped.  O(sum(freq) + n*s) time.
     """
     freq = validate_frequency_vector(freq)
     if freq.size != params.n:
@@ -153,11 +166,21 @@ def _split_histograms(params: FullTesterParams, freq: np.ndarray,
     if params.s * params.mu > 1e12:
         raise ValueError(f"s*mu = {params.s * params.mu:.3g} too large to split safely")
     width = params.x_max + 1
-    hist = np.zeros((params.n, width), dtype=np.float64)
-    for i in range(params.n):
-        parts = poisson_split(int(freq[i]), params.s, rng)
-        kept = parts[parts <= params.x_max]
-        hist[i, :] = np.bincount(kept, minlength=width)
+    hist = np.empty((params.n, width), dtype=np.float64)
+    ends = np.cumsum(freq)  # samples of coordinates 0..i
+    most = max(1, SPLIT_CHUNK // params.s)
+    first = 0
+    while first < params.n:
+        # at most SPLIT_CHUNK parts and SPLIT_CHUNK samples, or one coordinate
+        fits = np.searchsorted(ends, ends[first] - freq[first] + SPLIT_CHUNK, side="right")
+        last = min(first + most, max(first + 1, int(fits)))
+        parts = poisson_split(freq[first:last], params.s, rng)
+        rows = last - first
+        np.minimum(parts, width, out=parts)
+        parts += np.arange(0, rows * (width + 1), width + 1)[:, None]
+        counts = np.bincount(parts.ravel(), minlength=rows * (width + 1))
+        hist[first:last] = counts.reshape(rows, width + 1)[:, :width]
+        first = last
     return hist
 
 

@@ -1,8 +1,9 @@
 """Reference computations that only the tests use; the library never calls them.
 
 Each one cross-checks a library claim: the tracker's expected-consumption
-series, the relabeled Poisson null model, exhaustive product TV, and the
-pinned good-interval calibration corpus (tests/data/calibration.json).
+series, the relabeled Poisson null model, the multinomial count split,
+exhaustive product TV, and the pinned good-interval calibration corpus
+(tests/data/calibration.json).
 """
 
 from __future__ import annotations
@@ -62,6 +63,16 @@ def sample_perm_poisson(rates: np.ndarray, rng: SeededRng) -> np.ndarray:
         raise ValueError("rates must be finite and nonnegative")
     perm = rng.generator.permutation(rates.size)
     return rng.generator.poisson(rates[perm]).astype(np.int64)
+
+
+def multinomial_split(y: int, s: int, rng: SeededRng) -> np.ndarray:
+    """Split one count y into s parts by one multinomial draw over s equal bins.
+
+    numpy draws it as s sequential binomials, O(s) per count whatever y is.
+    poisson_split throws balls into bins instead: the same law, drawn from a
+    different random stream.
+    """
+    return rng.generator.multinomial(int(y), np.full(int(s), 1.0 / s)).astype(np.int64)
 
 
 def brute_force_tv_product(p: DiscreteDistribution, q: DiscreteDistribution,

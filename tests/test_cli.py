@@ -260,8 +260,10 @@ def test_simulate_overrides_and_csv(tmp_path, capsys):
 def test_simulate_rejects_malformed_config(tmp_path, capsys):
     config = tmp_path / "bad.json"
     # "params" is the one key for the tester params; another top-level key,
-    # such as "overrides", is refused rather than read or ignored
-    for text in ["{not json", json.dumps({**SIM_CONFIG, "overrides": {"m": 10}})]:
+    # such as "overrides", is refused rather than read or ignored, and so is
+    # valid JSON that is not an object
+    for text in ["{not json", json.dumps({**SIM_CONFIG, "overrides": {"m": 10}}),
+                 "[1, 2]", "5"]:
         config.write_text(text)
         code, out, err = run_cli(capsys, ["simulate", "--config", str(config)])
         assert code == 2

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from unifwatch import (ACCEPT, REJECT, FullTesterParams, SeededRng,
                        derive_full_params, hellinger_sq_bernoulli,
                        poisson_interval_mass, run_full_tester,
                        subset_thresholds)
-from unifwatch import full_tester
+from unifwatch import full_tester, poisson
 from unifwatch.full_tester import K_BLOCK, _scaled_bounds, _split_histograms
 from unifwatch.interval_tester import (IntervalWitness, Verdict,
                                        interval_mass_matrix, poisson_pmf_table)
@@ -146,6 +147,63 @@ def test_run_guards_oversized_split_scale():
     params = FullTesterParams(n=2, mu=1.0, tau=0.1, s=10 ** 13, r=1, x_max=5)
     with pytest.raises(ValueError, match="too large"):
         run_full_tester(params, np.zeros(2, dtype=np.int64), SeededRng(2))
+
+
+def test_split_histograms_match_the_exact_occupancy_law():
+    """Pooled H[:, x] equals the exact occupancy expectation s*Binom(y, 1/s).pmf(x).
+
+    The y samples of a coordinate fall uniformly into s bins, so the number
+    N_x of bins holding exactly x of them has mean s*p, p = Binom(y, 1/s).pmf(x),
+    and variance s*p*(1-p) + s*(s-1)*(p*q - p^2), where q =
+    Binom(y-x, 1/(s-1)).pmf(x) is the chance that a second bin also holds x.
+    Summed over 2,000 coordinates with counts 0..39, each column lies
+    within 5 standard deviations of its exact mean; the parts above x_max
+    are dropped, so the columns hold only x <= x_max.
+    """
+    s, x_max = 8, 8
+    freq = np.tile(np.arange(40), 50)
+    params = FullTesterParams(n=freq.size, mu=2.0, tau=0.1, s=s, r=1, x_max=x_max)
+    hist = _split_histograms(params, freq, SeededRng(5))
+    x = np.arange(x_max + 1)[None, :]
+    y = freq[:, None]
+    p = stats.binom.pmf(x, y, 1.0 / s)
+    q = stats.binom.pmf(x, np.maximum(y - x, 0), 1.0 / (s - 1))
+    mean = s * p
+    var = s * p * (1.0 - p) + s * (s - 1) * (p * q - p * p)
+    assert (hist.sum(axis=1) <= s).all()
+    gap = np.abs(hist.sum(axis=0) - mean.sum(axis=0))
+    assert (gap <= 5.0 * np.sqrt(var.sum(axis=0))).all(), gap
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=st.lists(st.integers(0, 60), min_size=2, max_size=8),
+       big=st.integers(300, 1000), where=st.integers(0, 7),
+       s=st.integers(1, 30), x_max=st.integers(0, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_split_histograms_do_not_depend_on_the_chunk(counts, big, where, s,
+                                                     x_max, seed):
+    """SPLIT_CHUNK of 1, 7 or the default gives the same split and histograms.
+
+    One count is far larger than both small chunks, so its samples are
+    labelled over many chunks, and its parts still sum to it.  The
+    histograms equal a per-coordinate bincount of the parts <= x_max.
+    """
+    freq = np.array(counts)
+    freq[where % freq.size] = big
+    params = FullTesterParams(n=freq.size, mu=1.0, tau=0.1, s=s, r=1, x_max=x_max)
+    splits, hists = [], []
+    for chunk in (1, 7, poisson.SPLIT_CHUNK):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(poisson, "SPLIT_CHUNK", chunk)
+            patch.setattr(full_tester, "SPLIT_CHUNK", chunk)
+            splits.append(poisson.poisson_split(freq, s, SeededRng(seed)))
+            hists.append(_split_histograms(params, freq, SeededRng(seed)))
+    for parts, hist in zip(splits, hists):
+        assert (parts == splits[0]).all() and (hist == hists[0]).all()
+    parts = splits[0]
+    assert (parts.sum(axis=1) == freq).all()
+    kept = [np.bincount(row[row <= x_max], minlength=x_max + 1) for row in parts]
+    assert (hists[0] == np.array(kept)).all()
 
 
 def test_verdict_deterministic_and_seed_sensitive():
@@ -334,7 +392,7 @@ def test_live_cell_witness():
     live = _live_rows(params, freq, rng.child(1))
     w = verdict.witness
     assert (w.a, w.b, w.repeat, w.subset_size) == (0, 0, 0, 1)
-    assert w.b < live == 14 < params.x_max
+    assert w.b < live == 16 < params.x_max
     assert verdict.intervals_evaluated == 16 * 50 * 51 // 2
 
 
@@ -373,7 +431,7 @@ def test_reject_in_second_k_block_counts_whole_blocks():
     """Repeat 0 accepts, repeat 1 rejects at k > K_BLOCK: both blocks count."""
     params = FullTesterParams(n=200, mu=1.0, tau=0.1, s=20, r=8, x_max=6)
     rates = np.r_[np.full(100, 1.03), np.full(100, 0.97)]
-    rng = SeededRng(7)
+    rng = SeededRng(4)
     freq = rng.child(0).generator.poisson(params.s * rates)
     verdict = _assert_matches_dense(params, freq, rng.child(1))
     assert K_BLOCK < verdict.witness.subset_size == 169
@@ -400,7 +458,7 @@ def test_reject_inside_a_batch_of_four_matches_dense_scan(monkeypatch):
     params, freq, rng = _late_reject_case()
     verdict = _assert_matches_dense(params, freq, rng)
     w = verdict.witness
-    assert (w.repeat, w.subset_size, w.a, w.b) == (5, 5, 3, 7)
+    assert (w.repeat, w.subset_size, w.a, w.b) == (5, 5, 0, 2)
     per_k = (params.x_max + 1) * (params.x_max + 2) // 2
     assert verdict.intervals_evaluated == (5 * 16 + 16) * per_k
     monkeypatch.setattr(full_tester, "BATCH_COUNTS", 1)

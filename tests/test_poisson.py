@@ -5,6 +5,7 @@ tolerances are sized at 3-5 sigma of the corresponding estimator.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,10 +17,11 @@ from unifwatch import (DiscreteDistribution, SeededRng, StreamExhausted,
                        SymbolStream, depoissonize, poissonize,
                        read_frequency_vector, read_symbols, sample_poisson,
                        stream_from_distribution)
+from unifwatch import poisson
 from unifwatch.poisson import (child_keys, child_permutations, poisson_split,
                                validate_frequency_vector)
 
-from reference import sample_perm_poisson
+from reference import multinomial_split, sample_perm_poisson
 
 
 def test_seeded_rng_reproducible():
@@ -133,15 +135,76 @@ def test_poisson_split_parts_sum_to_the_count(y, s, seed):
         assert parts.tolist() == [y]
 
 
+def test_poisson_split_validates_counts():
+    rng = SeededRng(4)
+    for y in [-1, [3, -2], [[1, 2]], 2.5, [1.0, 2.0]]:
+        with pytest.raises(ValueError):
+            poisson_split(y, 3, rng)
+    with pytest.raises(ValueError):
+        poisson_split(3, 0, rng)
+    assert poisson_split([], 3, rng).shape == (0, 3)
+
+
+def test_poisson_split_of_an_array_splits_each_count_in_order():
+    """One call on an array equals one call per count, in order, on one rng."""
+    counts = np.array([5, 0, 17, 3, 1, 40])
+    one_by_one = SeededRng(8)
+    expected = np.stack([poisson_split(int(y), 6, one_by_one) for y in counts])
+    parts = poisson_split(counts, 6, SeededRng(8))
+    assert parts.shape == (6, 6)
+    assert (parts == expected).all()
+    assert (parts.sum(axis=1) == counts).all()
+
+
+def test_poisson_split_matches_multinomial_reference():
+    """Balls into bins draws the law of the multinomial reference split.
+
+    Two-sample chi-square tests over 20,000 splits of y=12 into s=5 parts
+    on each side: on part 0 (marginally Binomial(12, 1/5)) and on the
+    number of empty parts, which depends on all parts jointly.  Each
+    statistic is capped so that every cell expects hundreds of splits.
+    """
+    y, s, trials = 12, 5, 20_000
+    fast = poisson_split(np.full(trials, y), s, SeededRng(40))
+    ref_rng = SeededRng(41)
+    ref = np.stack([multinomial_split(y, s, ref_rng) for _ in range(trials)])
+    assert (ref.sum(axis=1) == y).all()
+    for statistic, cap in [(lambda parts: parts[:, 0], 6),
+                           (lambda parts: (parts == 0).sum(axis=1), 2)]:
+        table = [np.bincount(np.minimum(statistic(parts), cap), minlength=cap + 1)
+                 for parts in (fast, ref)]
+        assert stats.chi2_contingency(np.array(table)).pvalue > 1e-3
+
+
+def test_poisson_split_memory_is_bounded_by_the_chunk(monkeypatch):
+    """A count 1,000 times SPLIT_CHUNK splits exactly, in O(SPLIT_CHUNK) memory.
+
+    Its labels alone would take 8 MB at once; drawn a chunk at a time the
+    split's tracemalloc peak stays below eight int64 arrays of a chunk.
+    """
+    chunk, y = 1000, 1_000_000
+    counts = np.array([5, y, 7])
+    # the default chunk; the first split also sets up numpy's sampling
+    expected = poisson_split(counts, 3, SeededRng(9))
+    monkeypatch.setattr(poisson, "SPLIT_CHUNK", chunk)
+    rng = SeededRng(9)
+    tracemalloc.start()
+    try:
+        parts = poisson_split(counts, 3, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parts.sum(axis=1).tolist() == [5, y, 7]
+    assert (parts == expected).all()
+    assert peak < 8 * 8 * chunk, peak
+
+
 def test_poisson_split_marginals_poisson():
     """Splitting Poi(s*lam) into s parts yields i.i.d. Poi(lam) coordinates."""
     lam, s, trials = 2.0, 5, 100_000
     rng = SeededRng(6)
     totals = rng.child(0).generator.poisson(s * lam, size=trials)
-    split_rng = rng.child(1)
-    parts = np.empty((trials, s), dtype=np.int64)
-    for i in range(trials):
-        parts[i] = poisson_split(int(totals[i]), s, split_rng)
+    parts = poisson_split(totals, s, rng.child(1))
     means = parts.mean(axis=0)
     assert np.abs(means - lam).max() < 0.05, f"coordinate means {means}"
     cov = np.cov(parts.T)
