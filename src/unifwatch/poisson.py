@@ -14,6 +14,14 @@ transformed rejection for large ones); no normal approximation is involved
 at any rate.  poisson_split splits counts exactly by throwing balls into
 bins: every sample gets one uniform bin label, so a split costs
 O(sum(y) + len(y)*s) vectorized operations, not s binomial draws per count.
+
+stream_from_distribution draws a non-uniform source through a guide table
+(Chen & Asau 1974; Devroye 1986, sec. III.2): one uniform double per symbol
+is mapped to its symbol by a table lookup, with a binary search of the CDF
+only for the few doubles whose table bucket holds a CDF boundary.  Every
+symbol is the one Generator.choice(n, p=probs) draws from the same double,
+so the stream equals choice's output bit for bit and leaves the generator
+in the same state.
 """
 
 from __future__ import annotations
@@ -200,7 +208,8 @@ def poisson_split(y, s: int, rng: SeededRng) -> np.ndarray:
     Poi(lam).
 
     Labels are drawn for count 0's samples, then count 1's, and so on, at
-    most SPLIT_CHUNK at a time.  numpy's bounded integers do not depend on
+    most SPLIT_CHUNK at a time, and each chunk's labels are counted over
+    the bins of only the counts they span.  numpy's bounded integers do not depend on
     how a draw is cut into calls, so neither do the parts: splitting an
     array equals splitting its counts one by one, in order, from the same
     generator.  O(sum(y) + len(y)*s) time, against one binomial per part
@@ -225,14 +234,19 @@ def poisson_split(y, s: int, rng: SeededRng) -> np.ndarray:
     parts = None
     for first in range(0, total, SPLIT_CHUNK):
         last = min(first + SPLIT_CHUNK, total)
-        balls = np.diff(bounds.clip(first, last))  # count i's labels here
+        # the counts with samples in [first, last) are lo..hi-1
+        lo = int(bounds.searchsorted(first, side="right")) - 1
+        hi = int(bounds.searchsorted(last, side="left"))
+        balls = np.diff(bounds[lo:hi + 1].clip(first, last))  # their labels here
         labels = rng.generator.integers(0, s, size=last - first)
-        labels += np.repeat(offsets, balls)
-        counted = np.bincount(labels, minlength=size)
-        if parts is None:
-            parts = counted
+        labels += np.repeat(offsets[:hi - lo], balls)
+        counted = np.bincount(labels, minlength=(hi - lo) * s)
+        if parts is None and counted.size == size:
+            parts = counted  # one chunk spans every count: no second array
         else:
-            parts += counted
+            if parts is None:
+                parts = np.zeros(size, dtype=np.int64)
+            parts[lo * s:hi * s] += counted
     if parts is None:
         parts = np.zeros(size, dtype=np.int64)
     return parts.reshape(counts.shape + (s,))
@@ -259,7 +273,7 @@ def poissonize(samples: np.ndarray, n: int) -> np.ndarray:
         raise ValueError("symbols must be integers")
     if samples.size and (samples.min() < 1 or samples.max() > n):
         raise ValueError(f"symbol out of range 1..{n}")
-    return np.bincount(samples - 1, minlength=n).astype(np.int64) if samples.size \
+    return np.bincount(samples, minlength=n + 1)[1:].astype(np.int64) if samples.size \
         else np.zeros(n, dtype=np.int64)
 
 
@@ -314,16 +328,90 @@ class SymbolStream:
         return block
 
 
+# A non-uniform stream maps the doubles of a take to symbols at most
+# TAKE_CHUNK at a time, so beyond the symbols it returns a take holds about
+# 17 bytes per chunk entry (1.1 MiB), which fits one core's L2 cache.  Its
+# guide table has a power of two of buckets, about 32 per symbol and at
+# most GUIDE_CAP (2 MiB of int64), so a large n does not allocate hundreds
+# of MB; past the cap more buckets hold a CDF boundary and more doubles
+# take the binary search.
+TAKE_CHUNK = 1 << 16
+GUIDE_CAP = 1 << 18
+
+
+def _checked_probs(dist) -> np.ndarray:
+    """dist.probs as float64, with the checks Generator.choice makes on p."""
+    probs = np.asarray(dist.probs, dtype=np.float64)
+    if probs.ndim != 1 or probs.size < 1:
+        raise ValueError("probabilities must be a nonempty 1-D array")
+    total = float(probs.sum())
+    if math.isnan(total):
+        raise ValueError("probabilities contain NaN")
+    if (probs < 0).any():
+        raise ValueError(f"negative probability {probs.min()}")
+    if abs(total - 1.0) > math.sqrt(np.finfo(np.float64).eps):
+        raise ValueError(f"probabilities sum to {total}, not 1")
+    return probs
+
+
+def _guide_sampler(probs: np.ndarray,
+                   generator: np.random.Generator) -> Callable[[int], np.ndarray]:
+    """Sampler of k symbols, each searchsorted(cdf, u, "right") + 1 for one
+    u = generator.random(), as Generator.choice(p=probs) draws them.
+
+    cdf is choice's own (cumsum, divided by its last entry), scaled by the
+    bucket count G, a power of two, so the scaling and u*G are exact and
+    every comparison keeps its outcome.  Bucket j covers u*G in [j, j+1)
+    and holds the symbol all of them get, the number of scaled CDF entries
+    <= j plus 1, unless a scaled entry lies strictly inside the bucket;
+    then it holds 0 and sends its u to the binary search: at most one u in
+    32 while 32*n <= GUIDE_CAP.  Built in O(n + G) by repeating each symbol
+    over the buckets up to its ceiled entry.
+    """
+    n = probs.size
+    buckets = min(1 << (32 * n - 1).bit_length(), GUIDE_CAP)
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    cdf *= buckets
+    upper = np.ceil(cdf).astype(np.intp)
+    lower = cdf.astype(np.intp)  # floor: the entries are nonnegative
+    table = np.repeat(np.arange(1, n + 1, dtype=np.int64),
+                      np.diff(upper, prepend=0))
+    table[lower[lower != upper]] = 0
+
+    def sampler(k: int) -> np.ndarray:
+        symbols = np.empty(k, dtype=np.int64)
+        for first in range(0, k, TAKE_CHUNK):
+            u = generator.random(min(TAKE_CHUNK, k - first))
+            u *= buckets
+            block = symbols[first:first + u.size]
+            np.take(table, u.astype(np.intp), out=block, mode="clip")
+            boundary = block == 0
+            if boundary.any():
+                block[boundary] = cdf.searchsorted(u[boundary], side="right") + 1
+        return symbols
+
+    return sampler
+
+
 def stream_from_distribution(dist, rng: SeededRng) -> SymbolStream:
-    """Endless i.i.d. stream of symbols drawn from a DiscreteDistribution."""
-    probs = dist.probs
+    """Endless i.i.d. stream of symbols drawn from a DiscreteDistribution.
+
+    A uniform dist draws generator.integers(1, n + 1).  Any other draws
+    through a guide table (_guide_sampler), bit-identical to
+    generator.choice(n, p=probs) + 1: the same symbols from the same
+    doubles, one double per symbol, so a take of k leaves the generator
+    where choice of size k would, however takes are cut.  choice's checks
+    on probs (no NaN, no negative entry, a sum within sqrt(eps) of 1) are
+    made here, once, so a bad dist fails at the build, not at a take.
+    """
+    probs = _checked_probs(dist)
     n = probs.size
     if np.allclose(probs, 1.0 / n, rtol=0.0, atol=1e-15):
         def sampler(k: int) -> np.ndarray:
             return rng.generator.integers(1, n + 1, size=k, dtype=np.int64)
     else:
-        def sampler(k: int) -> np.ndarray:
-            return rng.generator.choice(n, size=k, p=probs).astype(np.int64) + 1
+        sampler = _guide_sampler(probs, rng.generator)
     return SymbolStream(sampler)
 
 

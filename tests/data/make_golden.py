@@ -2,9 +2,10 @@
 
 Every case is a small seeded run through one public path (collision and
 Poissonized branches, budget exhaustion, the tracker stage by stage, the
-interval and full testers, the experiment harness, the CLI) rendered as one
-JSON line with floats written by repr.  tests/test_golden.py recomputes each
-case and compares the line byte for byte.
+interval and full testers, the experiment harness, the CLI, the symbols of
+non-uniform distribution streams) rendered as one JSON line with floats
+written by repr.  tests/test_golden.py recomputes each case and compares
+the line byte for byte.
 
     PYTHONPATH=src python tests/data/make_golden.py          # diff only
     PYTHONPATH=src python tests/data/make_golden.py --write  # rewrite corpus
@@ -188,6 +189,23 @@ def finite_tracker_case(family, n, delta, seed, max_stage, length,
     return run
 
 
+def stream_case(family, n, seed, **params):
+    """SHA-256 of consecutive take blocks of one distribution stream.
+
+    The block sizes are 1, 7, one below the sampler's chunk and several
+    chunks; the generator's next double after the blocks pins how many
+    draws they consumed.
+    """
+    def run():
+        rng = SeededRng(seed)
+        stream = stream_from_distribution(_dist(family, n, **params), rng)
+        blocks = [[size, hashlib.sha256(stream.take(size).tobytes()).hexdigest()]
+                  for size in STREAM_BLOCKS]
+        return {"blocks": blocks, "consumed": stream.consumed,
+                "next_random": rng.generator.random()}
+    return run
+
+
 def interval_case(mu, eps, delta, rate, seed):
     def run():
         params = derive_interval_params(mu, eps, delta)
@@ -254,6 +272,15 @@ def cli_case(command, family, n, seed, length, args, bad_at=None, **params):
 
 LUMPY = [3.9] * 8 + [0.1] * 8
 TRACK_STAGES = [(stage, 1 << stage) for stage in (3, 4, 5)]
+# poisson.TAKE_CHUNK as the stream cases were written; fixed here, so the
+# cases pin the same blocks whatever the chunk becomes
+STREAM_CHUNK = 1 << 16
+STREAM_BLOCKS = [1, 7, STREAM_CHUNK - 1, 3 * STREAM_CHUNK + 5]
+STREAM_FAMILIES = {"heavy": ("heavy_element", {"beta": 0.2}),
+                   "two_level": ("two_level", {"mass_split": 0.75,
+                                               "support_split": 0.5}),
+                   "subset": ("uniform_subset", {"fraction": 0.5}),
+                   "point_mass": ("heavy_element", {"beta": 1.0})}
 
 CASES = {
     # collision branch (m <= sqrt(n)/2)
@@ -357,6 +384,9 @@ CASES = {
     "cli_track_reject": cli_case("track", "heavy_element", 64, 1260, 20_000,
                                  ["--delta", "0.2", "--seed", "7", "--r", "8"],
                                  beta=0.5),
+    # non-uniform stream symbols, block by block
+    **{f"stream_{tag}_{n}": stream_case(family, n, 1300 + n, **params)
+       for n in (64, 1000) for tag, (family, params) in STREAM_FAMILIES.items()},
 }
 
 

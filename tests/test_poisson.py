@@ -199,6 +199,30 @@ def test_poisson_split_memory_is_bounded_by_the_chunk(monkeypatch):
     assert peak < 8 * 8 * chunk, peak
 
 
+def test_poisson_split_of_many_chunks_bincounts_only_the_spanned_counts(monkeypatch):
+    """A many-chunk array split equals splitting its counts one by one, and
+    its tracemalloc peak is the parts plus O(len(y) + SPLIT_CHUNK): each
+    chunk counts only the bins of the counts its labels span, not all
+    len(y)*s bins, which would take a second array of parts.
+    """
+    chunk, s = 1000, 30
+    counts = SeededRng(17).generator.poisson(50.0, size=2000)
+    counts[100:140] = 0  # a run of empty counts inside one chunk
+    monkeypatch.setattr(poisson, "SPLIT_CHUNK", chunk)
+    one_by_one = SeededRng(18)
+    expected = np.stack([poisson_split(int(y), s, one_by_one) for y in counts])
+    rng = SeededRng(18)
+    tracemalloc.start()
+    try:
+        parts = poisson_split(counts, s, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() > 50 * chunk
+    assert (parts == expected).all()
+    assert peak < parts.nbytes + 4 * counts.nbytes + 8 * 8 * chunk, peak
+
+
 def test_poisson_split_marginals_poisson():
     """Splitting Poi(s*lam) into s parts yields i.i.d. Poi(lam) coordinates."""
     lam, s, trials = 2.0, 5, 100_000
@@ -219,6 +243,20 @@ def test_poissonize_basics():
         poissonize([0], 3)
     with pytest.raises(ValueError):
         poissonize([4], 3)
+
+
+def test_poissonize_makes_no_copy_of_the_samples():
+    samples = SeededRng(19).generator.integers(1, 1001, size=1_000_000)
+    expected = np.array([(samples == v).sum() for v in range(1, 1001)])
+    tracemalloc.start()
+    try:
+        freq = poissonize(samples, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert freq.dtype == np.int64
+    assert (freq == expected).all()
+    assert peak < samples.nbytes // 10, peak
 
 
 def test_poissonize_of_poisson_sample_is_product_poisson():
@@ -352,6 +390,83 @@ def test_symbol_stream_from_sampler():
         DiscreteDistribution(np.array([0.9, 0.1])), SeededRng(16))
     draws = skewed.take(20_000)
     assert abs((draws == 1).mean() - 0.9) < 0.01
+
+
+class _Probs:
+    """A duck-typed distribution: anything with a probs array."""
+
+    def __init__(self, probs):
+        self.probs = np.asarray(probs, dtype=np.float64)
+
+
+def _profile(kind: str, n: int, seed: int) -> np.ndarray:
+    gen = SeededRng(seed).generator
+    probs = gen.random(n)
+    if kind == "zero_runs":
+        for start in gen.integers(0, n, size=3):
+            probs[start:start + int(gen.integers(1, n))] = 0.0
+        if not probs.any():
+            probs[int(gen.integers(0, n))] = 1.0
+    elif kind == "first":
+        probs = np.zeros(n)
+        probs[0] = 1.0
+    elif kind == "last":
+        probs = np.zeros(n)
+        probs[-1] = 1.0
+    elif kind == "skewed":
+        probs = probs ** 8
+    return probs / probs.sum()
+
+
+# (attribute, value) pairs: the default chunk and table, chunks of 1 and 7,
+# and a table of 1 and of 4 buckets, where most draws take the binary search
+_SAMPLER_SETTINGS = [None, ("TAKE_CHUNK", 1), ("TAKE_CHUNK", 7),
+                     ("GUIDE_CAP", 1), ("GUIDE_CAP", 4)]
+
+
+@pytest.mark.parametrize("setting", _SAMPLER_SETTINGS)
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 3000),
+       kind=st.sampled_from(["random", "zero_runs", "first", "last", "skewed"]),
+       seed=st.integers(0, 2**32 - 1),
+       takes=st.lists(st.integers(0, 1500), min_size=1, max_size=3))
+def test_stream_equals_generator_choice(setting, n, kind, seed, takes):
+    """Every take equals Generator.choice(n, p=probs) + 1 from the same seed,
+    and the generators end in the same state, however the takes are cut."""
+    probs = _profile(kind, n, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        if setting is not None:
+            patch.setattr(poisson, *setting)
+        rng = SeededRng(seed)
+        stream = stream_from_distribution(_Probs(probs), rng)
+        symbols = np.concatenate([stream.take(k) for k in takes])
+    reference = SeededRng(seed)
+    expected = reference.generator.choice(n, size=sum(takes), p=probs) + 1
+    assert symbols.dtype == np.int64
+    assert (symbols == expected).all()
+    assert stream.consumed == sum(takes)
+    assert rng.generator.random() == reference.generator.random()
+
+
+def test_stream_refuses_bad_probabilities_when_built():
+    """choice's checks on p run once, at the build, not at the first take.
+
+    DiscreteDistribution accepts entries down to -PROB_SLACK; choice
+    refuses any negative entry, and so does the stream, before any take.
+    """
+    slightly_negative = np.array([0.5, 0.5 + 1e-13, -1e-13])
+    dist = DiscreteDistribution(slightly_negative)
+    with pytest.raises(ValueError, match="negative"):
+        stream_from_distribution(dist, SeededRng(23))
+    with pytest.raises(ValueError, match="sum"):
+        stream_from_distribution(_Probs([0.5, 0.5 + 1e-6]), SeededRng(23))
+    with pytest.raises(ValueError, match="NaN"):
+        stream_from_distribution(_Probs([0.5, np.nan]), SeededRng(23))
+    with pytest.raises(ValueError, match="1-D"):
+        stream_from_distribution(_Probs([[0.5, 0.5]]), SeededRng(23))
+    # within sqrt(eps) of 1, as choice allows
+    stream = stream_from_distribution(_Probs([0.5, 0.5 + 1e-9]), SeededRng(23))
+    assert stream.take(4).size == 4
 
 
 def test_frequency_vector_validation():
