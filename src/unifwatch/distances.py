@@ -35,7 +35,7 @@ class DiscreteDistribution:
     """Explicit distribution over symbols 1..n, ground truth for simulation.
 
     probs[i] is the mass of symbol i+1.  Entries must be nonnegative and sum
-    to 1 within 1e-12 absolute.
+    to 1 within 1e-12 absolute; entries in [-1e-12, 0) are stored as 0.
     """
 
     probs: np.ndarray
@@ -48,6 +48,7 @@ class DiscreteDistribution:
             raise ValueError("probs must be finite")
         if probs.min() < -PROB_SLACK:
             raise ValueError(f"negative probability {probs.min()}")
+        probs = np.clip(probs, 0.0, None)
         total = float(probs.sum())
         if abs(total - 1.0) > PROB_SLACK:
             raise ValueError(f"probabilities sum to {total}, not 1")
@@ -237,7 +238,6 @@ def hellinger_sq_bernoulli_bounds(mu, threshold):
     reachable = t < 2.0
     u_lo = root_a * c - root_b * spread
     lo = np.where((u_lo >= 0.0) & reachable, u_lo * u_lo, -1.0)
-    del u_lo  # free one broadcast-shape temporary before building u_hi
     # u_hi <= 1 by Cauchy-Schwarz; no upper solution only when even e = 1
     # falls short, i.e. threshold > 2 - 2*sqrt(mu)  <=>  c < sqrt(mu).
     u_hi = root_a * c + root_b * spread

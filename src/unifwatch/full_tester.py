@@ -28,11 +28,11 @@ count [a, L-1], so each row's tail folds into its cell [a, L-1], with the
 tightest of the tail's bounds.  Each repeat then compares the L(L+1)/2
 cells of the live triangle per k, as one matrix product of the subset
 prefix sums and two comparisons, instead of the (x_max+1)(x_max+2)/2 cells
-of the full triangle.  The rejection bounds are built one K_BLOCK block of
-k at a time, when repeat 0 reaches the block, and only their reduction to
-the live triangle is kept.  A rejection names its repeat and k; the witness
-is then found by interval_tester.first_violation on that subset's prefix
-counts over all of [0, x_max], the same scan the interval tester runs.
+of the full triangle.  Only the bounds those cells need are built
+(_live_bounds), one K_BLOCK block of k at a time, when repeat 0 reaches
+the block.  A rejection names its repeat and k; the witness is then found
+by interval_tester.first_violation on that subset's prefix counts over
+all of [0, x_max], the same scan the interval tester runs.
 
 Repeat j draws its permutation from rng.child(1 + j).  Repeat 0 runs alone,
 so a rejection there builds no later block and derives no later
@@ -59,14 +59,14 @@ from .interval_tester import (ACCEPT, REJECT, Verdict, first_violation,
 from .poisson import (SPLIT_CHUNK, SeededRng, child_permutations,
                       poisson_split, validate_frequency_vector)
 
-# The bounds are built for K_BLOCK subset sizes at a time, which caps each
-# of their (block, x_max+1, x_max+1) arrays at a few MB at typical ceilings,
-# whatever n is; intervals_evaluated counts whole blocks scanned.
+# Repeat 0 builds the live bounds for K_BLOCK subset sizes at a time, so a
+# rejection at a small k builds only its own block; intervals_evaluated
+# counts whole blocks scanned.
 K_BLOCK = 128
 
 # The repeats after the first are scanned in batches whose (repeat, k, cell)
-# float64 counts hold at most about this many values, 0.5 MiB, so a batch
-# stays below the peak of building one bounds block.
+# float64 counts hold at most about this many values, 0.5 MiB, so a batch's
+# working set stays the same size whatever n, r and L are.
 BATCH_COUNTS = 1 << 16
 
 
@@ -184,67 +184,58 @@ def _split_histograms(params: FullTesterParams, freq: np.ndarray,
     return hist
 
 
-def _scaled_bounds(params: FullTesterParams, mu_mass: np.ndarray, k0: int = 0,
-                   k1: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-(k, a, b) rejection bounds on raw interval counts, for k in k0+1..k1.
+def _live_cells(live: int) -> np.ndarray:
+    """How to count the live triangle's cells, a <= b < live in (a, b) order.
 
-    hellinger_sq_bernoulli(mu_I, est) >= tau/k is equivalent to the count
-    falling at or below lo(mu_I, tau/k)*s*k, or at or above
-    hi(mu_I, tau/k)*s*k, with (lo, hi) from hellinger_sq_bernoulli_bounds.
-    Scaling by s*k once lets each repeat test raw prefix-sum differences
-    with two comparisons and no square roots.  Row j of the result is subset
-    size k0+1+j; the formula is elementwise, so any k-range is bit-identical
-    to the same rows of the full (n, x_max+1, x_max+1) arrays.  The cells
-    a > b are no interval and get bounds that never fire.
+    With P the prefix sums of a subset's live histogram over x (P[j] =
+    parts below j), the counts of all cells are P @ diff: column (a, b) of
+    diff is +1 at row b+1 and -1 at row a.  Integer counts make the product
+    exact.
     """
-    k1 = params.n if k1 is None else k1
-    lo, hi = hellinger_sq_bernoulli_bounds(
-        mu_mass[None, :, :], subset_thresholds(params)[k0:k1, None, None])
-    scale = params.s * np.arange(k0 + 1, k1 + 1, dtype=np.float64)[:, None, None]
-    lo *= scale
-    hi *= scale
-    below = np.tri(mu_mass.shape[0], k=-1, dtype=bool)  # a > b
-    lo[:, below] = -np.inf
-    hi[:, below] = np.inf
-    return lo, hi
-
-
-def _live_cells(live: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The live triangle in (a, b) order, and how to count its cells.
-
-    Returns (cell_a, cell_b, diff) for the cells a <= b < live.  With P the
-    prefix sums of a subset's live histogram over x (P[j] = parts below j),
-    the counts of all cells are P @ diff: column (a, b) of diff is +1 at
-    row b+1 and -1 at row a.  Integer counts make the product exact.
-    """
-    cells = [(a, b) for a in range(live) for b in range(a, live)]
-    cell_a, cell_b = np.array(cells, dtype=np.intp).reshape(-1, 2).T
-    columns = np.arange(len(cells))
-    diff = np.zeros((live + 1, len(cells)))
+    cell_a, cell_b = np.triu_indices(live)
+    columns = np.arange(cell_a.size)
+    diff = np.zeros((live + 1, cell_a.size))
     diff[cell_b + 1, columns] = 1.0
     diff[cell_a, columns] = -1.0
-    return cell_a, cell_b, diff
+    return diff
 
 
-def _live_tables(lo: np.ndarray, hi: np.ndarray, cell_a: np.ndarray,
-                 cell_b: np.ndarray,
-                 live: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduce one block of (k, a, b) bounds to the cells of _live_cells.
+def _live_bounds(params: FullTesterParams, mu_mass: np.ndarray, live: int,
+                 k0: int, k1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rejection bounds on raw counts of the live cells, for k in k0+1..k1.
 
-    Every cell [a, b] with a < live <= b holds the count of [a, live-1], so
-    the last cell of row a stands for all b >= live-1: it takes the max of
-    lo and the min of hi over them, and fires exactly when one of them
-    does.  Also returns zero_fires: zero_fires[k] says whether some cell
-    with a >= live, whose count is 0 at every repeat, fires at that k.
+    A count fires at size k when it is at most lo*s*k or at least hi*s*k,
+    (lo, hi) from hellinger_sq_bernoulli_bounds at tau/k, so each repeat
+    tests raw prefix-sum differences with two comparisons and no square
+    roots.  lo and hi hold one row per k and one column per cell
+    a <= b < live in (a, b) order, bit-identical to bounds built over the
+    whole square, since the formula is elementwise.
+
+    The cells [a, b] with a < live <= b all count [a, live-1], so the last
+    cell of row a takes the max of lo and the min of hi over b >= live-1.
+    hi at b = live-1 alone would not do: u_hi is not monotone in the mass
+    in floating point.
+
+    zero_fires[k] says whether a cell a >= live, whose count is always 0,
+    fires at k.  Cell [live, x_max] decides it: u_lo = sqrt(mu)*c -
+    sqrt(1-mu)*spread is monotone in the mass mu through correctly rounded
+    operations, no such cell has more mass (its prefix-sum difference spans
+    theirs), and hi <= 0 forces spread = 0, so lo >= 0 at the same cell.
     """
-    lo_cells = lo[:, cell_a, cell_b]
-    hi_cells = hi[:, cell_a, cell_b]
+    threshold = subset_thresholds(params)[k0:k1, None]
+    cell_a, cell_b = np.triu_indices(live)
+    lo, hi = hellinger_sq_bernoulli_bounds(mu_mass[cell_a, cell_b], threshold)
+    tail_lo, tail_hi = hellinger_sq_bernoulli_bounds(mu_mass[:live, live - 1:],
+                                                     threshold[:, :, None])
     last = cell_b == live - 1  # the last cell of each row, rows in order
-    lo_cells[:, last] = lo[:, :live, live - 1:].max(axis=2)
-    hi_cells[:, last] = hi[:, :live, live - 1:].min(axis=2)
-    zero_fires = (lo[:, live:, live:] >= 0.0).any(axis=(1, 2))
-    zero_fires |= (hi[:, live:, live:] <= 0.0).any(axis=(1, 2))
-    return lo_cells, hi_cells, zero_fires
+    lo[:, last] = tail_lo.max(axis=2)
+    hi[:, last] = tail_hi.min(axis=2)
+    scale = params.s * np.arange(k0 + 1, k1 + 1, dtype=np.float64)[:, None]
+    lo *= scale
+    hi *= scale
+    # [live, x_max], or no cell at all when live > x_max
+    zero_lo, _ = hellinger_sq_bernoulli_bounds(mu_mass[live:live + 1, -1], threshold)
+    return lo, hi, (zero_lo >= 0.0).any(axis=1)
 
 
 def run_full_tester(params: FullTesterParams, freq: np.ndarray,
@@ -263,13 +254,13 @@ def run_full_tester(params: FullTesterParams, freq: np.ndarray,
     repeat compares the L(L+1)/2 cells a <= b < L per k, where cell
     [a, L-1] also stands for the tail b >= L of its row, and one flag per k
     decides all the zero-count cells a >= L, which come after the rows
-    a < L in (k, a, b) order.  Repeat 0 builds the bounds per K_BLOCK block
-    of k as it reaches them, so a rejection in an early block never builds
-    the later ones.  intervals_evaluated still counts every cell of each
-    block scanned: a cell proved silent without a comparison is decided all
-    the same.  The witness is the lowest (a, b) that first_violation finds
-    in the rejecting subset's prefix counts at threshold tau/k and scale
-    s*k.
+    a < L in (k, a, b) order.  Repeat 0 builds the bounds of those cells
+    (_live_bounds) per K_BLOCK block of k as it reaches them, so a
+    rejection in an early block never builds the later ones.
+    intervals_evaluated still counts every cell of each block scanned: a
+    cell proved silent without a comparison is decided all the same.  The
+    witness is the lowest (a, b) that first_violation finds in the
+    rejecting subset's prefix counts at threshold tau/k and scale s*k.
     """
     hist = _split_histograms(params, freq, rng.child(0))
     n, width = params.n, params.x_max + 1
@@ -277,7 +268,7 @@ def run_full_tester(params: FullTesterParams, freq: np.ndarray,
     mu_mass = interval_mass_matrix(poisson_pmf_table(params.mu, params.x_max))
     present = np.flatnonzero(hist.any(axis=0))
     live = int(present[-1]) + 1 if present.size else 0
-    cell_a, cell_b, diff = _live_cells(live)
+    diff = _live_cells(live)
     row_prefix = np.zeros((n, live + 1))  # parts of coordinate i below x
     np.cumsum(hist[:, :live], axis=1, out=row_prefix[:, 1:])
 
@@ -294,29 +285,23 @@ def run_full_tester(params: FullTesterParams, freq: np.ndarray,
 
     perm = next(child_permutations(rng, 1, 1, n))
     prefix = np.cumsum(row_prefix[perm], axis=0)                 # (k, x)
-    tables = None  # (lo, hi, zero_fires) of the live triangle, one row per k
+    blocks = []  # (lo, hi) of the live cells, one K_BLOCK block of k each
     for k0 in range(0, n, K_BLOCK):
         k1 = min(k0 + K_BLOCK, n)
-        parts = _live_tables(*_scaled_bounds(params, mu_mass, k0, k1),
-                             cell_a, cell_b, live)
-        if tables is None:  # allocated after the first block's peak
-            tables = [np.empty((n,) + p.shape[1:], p.dtype) for p in parts]
-        for table, part in zip(tables, parts):
-            table[k0:k1] = part
-        lo_cells, hi_cells, zero_fires = (table[k0:k1] for table in tables)
+        lo, hi, zero_fires = _live_bounds(params, mu_mass, live, k0, k1)
         counts = prefix[k0:k1] @ diff                             # (k, cell)
-        viol = (counts <= lo_cells) | (counts >= hi_cells)
-        fired = viol.any(axis=1) | zero_fires
+        fired = ((counts <= lo) | (counts >= hi)).any(axis=1) | zero_fires
         if fired.any():
             k_off = int(np.argmax(fired))
             return reject(0, k0 + k_off + 1, prefix[k0 + k_off])
+        blocks.append((lo, hi))
 
     # Repeat 0 accepted, so no zero-count cell fires at any k, and the later
     # repeats compare only the live cells, a batch of repeats at a time.
     # Batches grow 1, 2, 4, ... so an early rejection scans little more than
     # it needs, up to about BATCH_COUNTS counts.
-    lo_cells, hi_cells, _ = tables
-    cells = cell_a.size
+    lo_cells, hi_cells = (np.concatenate(side) for side in zip(*blocks))
+    cells = diff.shape[1]
     most = max(1, BATCH_COUNTS // (n * max(cells, 1)))
     perms = child_permutations(rng, 2, params.r - 1, n)
     rep, size = 1, 1

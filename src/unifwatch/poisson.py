@@ -290,7 +290,8 @@ class SymbolStream:
     Wraps either a block sampler (callable k -> array of k symbols, endless)
     or a finite 1-D integer array, read by slicing.  take(k) returns exactly
     k symbols or raises StreamExhausted.  A finite source of any other shape
-    or dtype (floats, iterators) is rejected at construction.
+    or dtype (floats, iterators) is rejected at construction, and a sampler
+    block of any other dtype at the take that reads it.
     """
 
     def __init__(self, source: Callable[[int], np.ndarray] | Sequence[int] | np.ndarray):
@@ -316,9 +317,12 @@ class SymbolStream:
         if k == 0:
             return np.empty(0, dtype=np.int64)
         if self._sampler is not None:
-            block = np.asarray(self._sampler(k), dtype=np.int64)
+            block = np.asarray(self._sampler(k))
             if block.size != k:
                 raise StreamExhausted(f"sampler returned {block.size} of {k} symbols")
+            if not np.issubdtype(block.dtype, np.integer):
+                raise ValueError(f"symbols must be integers, got dtype {block.dtype}")
+            block = block.astype(np.int64, copy=False)
         else:
             block = self._symbols[self.consumed:self.consumed + k]
             if block.size < k:

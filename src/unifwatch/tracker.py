@@ -15,6 +15,7 @@ consumed by a run are a deterministic function of the seed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,12 +121,16 @@ def tracker_feed(state: TrackerState, symbol: int) -> str:
     """Feed one symbol; returns plausible, reject, or budget_exhausted.
 
     Terminal states are sticky: feeding after reject or budget exhaustion
-    raises.  Symbols buffer until the current stage's reserve is full, then
-    the stage resolves in one shot.
+    raises.  A symbol that is not an integer is refused, not truncated.
+    Symbols buffer until the current stage's reserve is full, then the
+    stage resolves in one shot.
     """
     if state.status != PLAUSIBLE:
         raise RuntimeError(f"tracker is terminal ({state.status}); no further input")
-    symbol = int(symbol)
+    try:
+        symbol = operator.index(symbol)
+    except TypeError:
+        raise ValueError(f"symbol {symbol!r} is not an integer") from None
     if not 1 <= symbol <= state.n:
         raise ValueError(f"symbol {symbol} out of range 1..{state.n}")
     state._buffer.append(symbol)

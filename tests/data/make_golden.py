@@ -37,7 +37,7 @@ from unifwatch import (DistributionFamilySpec, ExperimentConfig, SeededRng,
                        test_uniformity, tracker_feed, tracker_new,
                        tracker_run)
 from unifwatch.cli import main as cli_main
-from unifwatch.full_tester import _scaled_bounds
+from unifwatch.full_tester import _live_bounds
 from unifwatch.interval_tester import interval_mass_matrix, poisson_pmf_table
 
 GOLDEN_PATH = Path(__file__).with_name("golden.jsonl")
@@ -226,14 +226,21 @@ def full_case(n, mu, delta, rates, seed, **overrides):
 
 
 def bounds_case(n, m, delta, overrides):
-    """Digest of the full tester's scaled bounds at one operating point."""
+    """Digests of the full tester's live-window bounds at one operating point,
+    for every subset size, at live windows L from empty to the whole
+    ceiling and beyond it."""
     def run():
         _, params, _ = poissonized_sample_cap(n, m, delta, overrides)
         mu_mass = interval_mass_matrix(poisson_pmf_table(params.mu, params.x_max))
-        lo, hi = _scaled_bounds(params, mu_mass)
-        return {"params": params, "shape": list(lo.shape),
-                "lo_sha256": hashlib.sha256(lo.tobytes()).hexdigest(),
-                "hi_sha256": hashlib.sha256(hi.tobytes()).hexdigest()}
+        tables = []
+        for live in (0, 1, 7, params.x_max, params.x_max + 1):
+            lo, hi, zero_fires = _live_bounds(params, mu_mass, live, 0, params.n)
+            tables.append({
+                "live": live, "shape": list(lo.shape),
+                **{f"{name}_sha256": hashlib.sha256(table.tobytes()).hexdigest()
+                   for name, table in (("lo", lo), ("hi", hi),
+                                       ("zero_fires", zero_fires))}})
+        return {"params": params, "tables": tables}
     return run
 
 

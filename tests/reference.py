@@ -2,7 +2,8 @@
 
 Each one cross-checks a library claim: the tracker's expected-consumption
 series, the relabeled Poisson null model, the multinomial count split,
-exhaustive product TV, and the pinned good-interval calibration corpus
+the full tester's bounds over the whole square of cells, exhaustive
+product TV, and the pinned good-interval calibration corpus
 (tests/data/calibration.json).
 """
 
@@ -15,8 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from unifwatch import (DiscreteDistribution, PoissonMixture, SeededRng,
-                       best_interval, exact_hellinger_poisson_vs_mixture)
+from unifwatch import (DiscreteDistribution, FullTesterParams, PoissonMixture,
+                       SeededRng, best_interval,
+                       exact_hellinger_poisson_vs_mixture,
+                       hellinger_sq_bernoulli_bounds, subset_thresholds)
 from unifwatch.tracker import STAGE_SOUNDNESS
 
 BRUTE_FORCE_CEILING = 10_000_000
@@ -73,6 +76,52 @@ def multinomial_split(y: int, s: int, rng: SeededRng) -> np.ndarray:
     different random stream.
     """
     return rng.generator.multinomial(int(y), np.full(int(s), 1.0 / s)).astype(np.int64)
+
+
+def dense_scaled_bounds(params: FullTesterParams, mu_mass: np.ndarray,
+                        k0: int = 0, k1: int | None = None
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-(k, a, b) rejection bounds on raw counts over the whole square.
+
+    Row j is subset size k0+1+j: the count of [a, b] fires when it is at
+    most lo*s*k or at least hi*s*k, (lo, hi) from
+    hellinger_sq_bernoulli_bounds at threshold tau/k.  The cells a > b are
+    no interval and get bounds that never fire.  O(k * (x_max+1)^2) memory.
+    """
+    k1 = params.n if k1 is None else k1
+    lo, hi = hellinger_sq_bernoulli_bounds(
+        mu_mass[None, :, :], subset_thresholds(params)[k0:k1, None, None])
+    scale = params.s * np.arange(k0 + 1, k1 + 1, dtype=np.float64)[:, None, None]
+    lo *= scale
+    hi *= scale
+    below = np.tri(mu_mass.shape[0], k=-1, dtype=bool)  # a > b
+    lo[:, below] = -np.inf
+    hi[:, below] = np.inf
+    return lo, hi
+
+
+def dense_live_bounds(params: FullTesterParams, mu_mass: np.ndarray, live: int,
+                      k0: int, k1: int
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The live window's tables, reduced from dense_scaled_bounds.
+
+    Returns (lo, hi, zero_fires) for the cells a <= b < live in (a, b)
+    order.  The last cell of row a stands for every b >= live-1: it takes
+    the max of lo and the min of hi over them.  zero_fires[k] says whether
+    any cell a >= live fires at that k with a count of 0: lo >= 0 or
+    hi <= 0 at some such cell.
+    """
+    lo, hi = dense_scaled_bounds(params, mu_mass, k0, k1)
+    cells = [(a, b) for a in range(live) for b in range(a, live)]
+    cell_a, cell_b = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+    lo_cells = lo[:, cell_a, cell_b]
+    hi_cells = hi[:, cell_a, cell_b]
+    last = cell_b == live - 1
+    lo_cells[:, last] = lo[:, :live, live - 1:].max(axis=2)
+    hi_cells[:, last] = hi[:, :live, live - 1:].min(axis=2)
+    zero_fires = (lo[:, live:, live:] >= 0.0).any(axis=(1, 2))
+    zero_fires |= (hi[:, live:, live:] <= 0.0).any(axis=(1, 2))
+    return lo_cells, hi_cells, zero_fires
 
 
 def brute_force_tv_product(p: DiscreteDistribution, q: DiscreteDistribution,

@@ -2,22 +2,25 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from unifwatch import (ACCEPT, REJECT, FullTesterParams, SeededRng,
-                       derive_full_params, hellinger_sq_bernoulli,
-                       poisson_interval_mass, run_full_tester,
-                       subset_thresholds)
+                       UniformityTestConfig, derive_full_params,
+                       hellinger_sq_bernoulli, poisson_interval_mass,
+                       run_full_tester, subset_thresholds)
 from unifwatch import full_tester, poisson
-from unifwatch.full_tester import K_BLOCK, _scaled_bounds, _split_histograms
+from unifwatch.full_tester import K_BLOCK, _live_bounds, _split_histograms
 from unifwatch.interval_tester import (IntervalWitness, Verdict,
                                        interval_mass_matrix, poisson_pmf_table)
 from unifwatch.oracle import literal_full_tester
+
+from reference import dense_live_bounds, dense_scaled_bounds
 
 
 def _dense_full_tester(params, freq, rng):
@@ -31,7 +34,7 @@ def _dense_full_tester(params, freq, rng):
     width = params.x_max + 1
     per_k_intervals = width * (width + 1) // 2
     mu_mass = interval_mass_matrix(poisson_pmf_table(params.mu, params.x_max))
-    lo_counts, hi_counts = _scaled_bounds(params, mu_mass)
+    lo_counts, hi_counts = dense_scaled_bounds(params, mu_mass)
     evaluated = 0
     for rep in range(params.r):
         perm = rng.child(1 + rep).generator.permutation(params.n)
@@ -380,6 +383,66 @@ def _kernel_cases(draw):
 def test_live_window_kernel_matches_dense_scan(case):
     params, freq, seed = case
     _assert_matches_dense(params, freq, SeededRng(seed))
+
+
+@st.composite
+def _bounds_cases(draw):
+    """An operating point, a live window L and a block k0+1..k1 of sizes.
+
+    mu = 0 gives cells of zero mass; tau/k reaching and passing 2 gives the
+    sentinels; L covers no live cell (0), one (1), no zero-count cell
+    (x_max + 1) and one (x_max).
+    """
+    n = draw(st.integers(2, 300))
+    k0 = draw(st.integers(0, n - 1))
+    k1 = draw(st.integers(k0 + 1, min(n, k0 + 2 * K_BLOCK)))
+    x_max = draw(st.integers(0, 30))
+    mu = draw(st.one_of(st.just(0.0), st.floats(0.0, 40.0)))
+    tau = draw(st.one_of(st.floats(1e-4, 1.0),
+                         st.floats(1.5, 2.5).map(lambda t: t * (k0 + 1)),
+                         st.just(2.0 * (k0 + 1))))
+    live = draw(st.one_of(st.sampled_from([0, 1, x_max, x_max + 1]),
+                          st.integers(0, x_max + 1)))
+    params = FullTesterParams(n=n, mu=mu, tau=tau, s=draw(st.integers(1, 20_000)),
+                              r=1, x_max=x_max)
+    return params, live, k0, k1
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_bounds_cases())
+@example(case=(FullTesterParams(n=171, mu=3.1437893427254116,
+                                tau=0.08508606546359844, s=12836, r=1, x_max=28),
+               27, 0, 171))
+def test_live_bounds_equal_the_dense_reduction(case):
+    """_live_bounds equals bounds built over the whole square and reduced.
+
+    The example is a point where hi at b = L-1 is 1 ulp above the min of
+    hi over the tail b >= L-1, so only the min folds the tail exactly.
+    """
+    params, live, k0, k1 = case
+    mu_mass = interval_mass_matrix(poisson_pmf_table(params.mu, params.x_max))
+    got = _live_bounds(params, mu_mass, live, k0, k1)
+    want = dense_live_bounds(params, mu_mass, live, k0, k1)
+    for table, reference in zip(got, want):
+        assert table.shape == reference.shape
+        assert np.array_equal(table, reference)
+
+
+def test_null_accept_peak_memory_at_a_thousand_coordinates():
+    """Only the live window's bounds are built: a null accept at n = 1000,
+    whose split keeps parts up to 5 of an x_max of 74, peaks at about 5 MiB
+    of traced allocations, not at a block of the whole square."""
+    params = UniformityTestConfig(1000, 64, 0.1, {"r": 16}).params
+    rng = SeededRng(12)
+    freq = rng.child(0).generator.poisson(params.s * params.mu, size=params.n)
+    tracemalloc.start()
+    try:
+        verdict = run_full_tester(params, freq, rng.child(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.outcome == ACCEPT
+    assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_live_cell_witness():

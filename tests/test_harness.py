@@ -51,6 +51,17 @@ def test_two_level_and_explicit_families():
     assert np.allclose(explicit.probs, [0.2, 0.3, 0.5])
 
 
+def test_explicit_family_with_slack_negative_entry_runs_a_trial():
+    """An entry in [-1e-12, 0) is stored as 0, so the source can be drawn."""
+    spec = DistributionFamilySpec(family="explicit", n=3,
+                                  probs=(0.5, 0.5 + 1e-13, -1e-13))
+    assert realize_family(spec).probs[2] == 0.0
+    config = ExperimentConfig(tester="uniformity", family=spec, trials=1, seed=3,
+                              tester_params={"m": 1, "delta": 0.2})
+    records, summary = run_experiment(config)
+    assert len(records) == 1 and summary["trials"] == 1
+
+
 def test_family_validation():
     with pytest.raises(ValueError):
         DistributionFamilySpec(family="bogus", n=4)

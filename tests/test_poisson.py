@@ -378,6 +378,11 @@ def test_symbol_stream_rejects_non_integer_sources():
         SymbolStream(np.array([[1, 2]]))
     assert SymbolStream([3, 1]).take(2).tolist() == [3, 1]
     assert SymbolStream([]).take(0).size == 0
+    # so is a sampler's block of floats, at the take that reads it
+    stream = SymbolStream(lambda k: np.full(k, 3.9))
+    with pytest.raises(ValueError, match="integers, got dtype float64"):
+        stream.take(4)
+    assert stream.consumed == 0
 
 
 def test_symbol_stream_from_sampler():
@@ -451,13 +456,13 @@ def test_stream_equals_generator_choice(setting, n, kind, seed, takes):
 def test_stream_refuses_bad_probabilities_when_built():
     """choice's checks on p run once, at the build, not at the first take.
 
-    DiscreteDistribution accepts entries down to -PROB_SLACK; choice
-    refuses any negative entry, and so does the stream, before any take.
+    choice refuses any negative entry, and so does the stream, before any
+    take; DiscreteDistribution stores its slack entries in [-PROB_SLACK, 0)
+    as 0, so only an object of another type can carry one here.
     """
-    slightly_negative = np.array([0.5, 0.5 + 1e-13, -1e-13])
-    dist = DiscreteDistribution(slightly_negative)
+    slightly_negative = [0.5, 0.5 + 1e-13, -1e-13]
     with pytest.raises(ValueError, match="negative"):
-        stream_from_distribution(dist, SeededRng(23))
+        stream_from_distribution(_Probs(slightly_negative), SeededRng(23))
     with pytest.raises(ValueError, match="sum"):
         stream_from_distribution(_Probs([0.5, 0.5 + 1e-6]), SeededRng(23))
     with pytest.raises(ValueError, match="NaN"):

@@ -1,6 +1,7 @@
 """Anytime tracker: stage schedule, accounting, terminal behavior, bounds."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,17 @@ def test_feed_rejects_out_of_range_symbols():
         tracker_feed(state, 0)
     with pytest.raises(ValueError):
         tracker_feed(state, 11)
+
+
+def test_feed_refuses_non_integer_symbols():
+    """2.7 is refused, not fed as symbol 2; numpy integers are symbols."""
+    state = tracker_new(n=10, delta=0.2, seed=1)
+    for symbol in (2.7, 3.0, np.float64(3.0), "3"):
+        with pytest.raises(ValueError, match=re.escape(f"symbol {symbol!r} is not")):
+            tracker_feed(state, symbol)
+    assert state.cumulative_samples == 0
+    tracker_feed(state, np.int64(3))
+    assert state.cumulative_samples == 1
 
 
 def test_stage_sequence_doubles_until_cutoff():
