@@ -156,23 +156,57 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+# The JSON types each key of a simulate config may hold, object by object;
+# a null leaves the key at its default.
+_JSON_TYPES = {"an integer": (int,), "a number": (int, float), "a string": (str,),
+               "an array": (list,), "an object": (dict,), "null": (type(None),)}
+_CONFIG_SCHEMA = {"tester": "a string", "family": "an object", "trials": "an integer",
+                  "seed": "an integer", "params": "an object or null"}
+_FAMILY_SCHEMA = {"family": "a string", "n": "an integer", "seed": "an integer",
+                  "probs": "an array or null", **dict.fromkeys(
+                      ("beta", "fraction", "mass_split", "support_split"), "a number or null")}
+_PARAMS_SCHEMA = {"m": "an integer", "delta": "a number", "overrides": "an object or null",
+                  **dict.fromkeys(("max_stage", "max_samples"), "an integer or null")}
+_OVERRIDES_SCHEMA = {"tau": "a number or null",
+                     **dict.fromkeys(("r", "s", "x_max"), "an integer or null")}
+
+
+def _check_type(where: str, value: Any, kinds: str) -> None:
+    allowed = sum((_JSON_TYPES[kind] for kind in kinds.split(" or ")), ())
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ValueError(f"{where} must be {kinds}, got {json.dumps(value)[:40]}")
+
+
+def _check_object(where: str, value: Any, schema: dict) -> dict:
+    """value, once it is an object whose keys are all in schema and hold
+    their types; a missing key is left to the code that reads it."""
+    _check_type(where, value, "an object")
+    unknown = sorted(set(value) - set(schema))
+    if unknown:
+        raise ValueError(f"unknown keys in {where}: {', '.join(unknown)}")
+    for key, item in value.items():
+        _check_type(f"{where}.{key}", item, schema[key])
+    return value
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     with open(args.config, encoding="utf-8") as handle:
-        raw = json.load(handle)
-    if not isinstance(raw, dict):
-        raise ValueError(f"the config must be a JSON object, got {json.dumps(raw)[:40]}")
-    unknown = sorted(set(raw) - {"tester", "family", "trials", "seed", "params"})
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    family_raw = dict(raw["family"])
-    if "probs" in family_raw and family_raw["probs"] is not None:
+        raw = _check_object("config", json.load(handle), _CONFIG_SCHEMA)
+    family_raw = dict(_check_object("config.family", raw["family"], _FAMILY_SCHEMA))
+    if family_raw.get("probs") is not None:
+        for index, prob in enumerate(family_raw["probs"]):
+            _check_type(f"config.family.probs[{index}]", prob, "a number")
         family_raw["probs"] = tuple(family_raw["probs"])
+    params = _check_object("config.params", raw.get("params") or {}, _PARAMS_SCHEMA)
+    if params.get("overrides") is not None:
+        _check_object("config.params.overrides", params["overrides"],
+                      _OVERRIDES_SCHEMA)
     config = ExperimentConfig(
         tester=raw["tester"],
         family=DistributionFamilySpec(**family_raw),
-        trials=args.trials if args.trials is not None else int(raw["trials"]),
-        seed=args.seed if args.seed is not None else int(raw["seed"]),
-        tester_params=raw.get("params") or {})
+        trials=args.trials if args.trials is not None else raw["trials"],
+        seed=args.seed if args.seed is not None else raw["seed"],
+        tester_params=params)
     records, summary = run_experiment(config)
     if args.out:
         if args.format == "csv":

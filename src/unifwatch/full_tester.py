@@ -34,30 +34,28 @@ the block.  A rejection names its repeat and k; the witness is then found
 by interval_tester.first_violation on that subset's prefix counts over
 all of [0, x_max], the same scan the interval tester runs.
 
-Repeat j draws its permutation from rng.child(1 + j).  Repeat 0 runs alone,
-so a rejection there builds no later block and derives no later
+Every repeat draws its permutation, in order, from rng.child(1).  Repeat 0
+runs alone, so a rejection there builds no later block and draws no later
 permutation.  Once it accepts, no zero-count cell fires at any k, and the
 other repeats are scanned in batches of 1, 2, 4, ... repeats, up to about
-BATCH_COUNTS counts each: child_permutations derives all their Philox keys
-in one vectorized pass and rewinds one generator to each, bit-identical to
-building every child, and each batch is one prefix sum, one matrix product
-and two comparisons.  The first repeat of a batch with a violation holds
-the lowest witness.
+BATCH_COUNTS counts each: one Generator.permuted call on rows of arange(n),
+whose rows take the same Fisher-Yates draws as one permutation(n) call
+each, then one prefix sum, one matrix product and two comparisons.  The
+first repeat of a batch with a violation holds the lowest witness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
 
 import numpy as np
 
 from .distances import hellinger_sq_bernoulli_bounds
 from .interval_tester import (ACCEPT, REJECT, Verdict, first_violation,
                               interval_mass_matrix, poisson_pmf_table)
-from .poisson import (SPLIT_CHUNK, SeededRng, child_permutations,
-                      poisson_split, validate_frequency_vector)
+from .poisson import (SPLIT_CHUNK, SeededRng, poisson_split,
+                      validate_frequency_vector)
 
 # Repeat 0 builds the live bounds for K_BLOCK subset sizes at a time, so a
 # rejection at a small k builds only its own block; intervals_evaluated
@@ -245,9 +243,9 @@ def run_full_tester(params: FullTesterParams, freq: np.ndarray,
     Rejection takes the lowest (repeat, k, a, b) witness, so the verdict is a
     pure function of (params, freq, rng seed).  Total interval evaluations
     are bounded by r*n*(x_max+1)*(x_max+2)/2 and reported on the verdict.
-    Repeat j permutes with rng.child(1 + j); the repeats after the first
-    get their permutations from child_permutations, bit-identical to those
-    children, and are scanned in batches (see the module docstring).
+    Repeat j permutes with the (j+1)-th permutation(n) of rng.child(1);
+    the later repeats draw and scan theirs a batch at a time (see the
+    module docstring), bit-identical to one draw each.
 
     Only the live window is compared (see the module docstring): with L =
     1 + the largest part value the split kept, or 0 when it kept none, a
@@ -283,8 +281,8 @@ def run_full_tester(params: FullTesterParams, freq: np.ndarray,
         return Verdict(outcome=REJECT, intervals_evaluated=evaluated,
                        witness=replace(witness, repeat=rep, subset_size=k))
 
-    perm = next(child_permutations(rng, 1, 1, n))
-    prefix = np.cumsum(row_prefix[perm], axis=0)                 # (k, x)
+    generator = rng.child(1).generator  # every repeat's permutation, in order
+    prefix = np.cumsum(row_prefix[generator.permutation(n)], axis=0)  # (k, x)
     blocks = []  # (lo, hi) of the live cells, one K_BLOCK block of k each
     for k0 in range(0, n, K_BLOCK):
         k1 = min(k0 + K_BLOCK, n)
@@ -303,11 +301,10 @@ def run_full_tester(params: FullTesterParams, freq: np.ndarray,
     lo_cells, hi_cells = (np.concatenate(side) for side in zip(*blocks))
     cells = diff.shape[1]
     most = max(1, BATCH_COUNTS // (n * max(cells, 1)))
-    perms = child_permutations(rng, 2, params.r - 1, n)
     rep, size = 1, 1
     while rep < params.r:
         size = min(size, most, params.r - rep)
-        batch = np.array(list(islice(perms, size)))              # (repeat, k)
+        batch = generator.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
         prefix = np.cumsum(row_prefix[batch], axis=1).reshape(size * n, live + 1)
         counts = (prefix @ diff).reshape(size, n, cells)         # (repeat, k, cell)
         below, above = counts <= lo_cells, counts >= hi_cells

@@ -125,7 +125,10 @@ def realize_family(spec: DistributionFamilySpec) -> DiscreteDistribution:
         return DiscreteDistribution(probs)
     if spec.probs is None:
         raise ValueError("explicit family needs probs")
-    return DiscreteDistribution(np.asarray(spec.probs, dtype=np.float64))
+    probs = np.asarray(spec.probs, dtype=np.float64)
+    if probs.shape != (n,):
+        raise ValueError(f"explicit family needs {n} probs, got shape {probs.shape}")
+    return DiscreteDistribution(probs)
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z

@@ -4,10 +4,6 @@ The RNG is numpy's Philox bit generator, a counter-based PRNG with a
 documented algorithm, wrapped so that independent child generators can be
 derived by index (SeedSequence spawn keys).  Identical seed and call sequence
 reproduce outputs bit-exactly on any platform for a fixed numpy version.
-Philox is counter-based, so a child's stream is fixed by its key alone:
-child_keys computes the keys of many children in one vectorized pass, and
-child_permutations rewinds one generator to each instead of building one
-per child.
 
 Poisson draws use numpy's exact sampler (inversion for small rates,
 transformed rejection for large ones); no normal approximation is involved
@@ -27,7 +23,7 @@ in the same state.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -40,10 +36,8 @@ class SeededRng:
     """Philox-backed generator addressable by a path of child indexes.
 
     child(i) derives an independent generator; the (seed, path) pair fully
-    determines the stream, so trials, stages, and repeats can each get their
-    own reproducible randomness.  child_keys(rng, first, count) gives the
-    Philox keys of many children at once, the same pure function of (seed,
-    path, index) as child, and child_permutations draws from those keys.
+    determines the stream, so trials, stages, and the draws within a test
+    can each get their own reproducible randomness.
     """
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
@@ -59,124 +53,6 @@ class SeededRng:
 
     def __repr__(self) -> str:
         return f"SeededRng(seed={self.seed}, path={self.path})"
-
-
-# numpy's SeedSequence (pool of four 32-bit words) and its hash constants;
-# child_keys repeats its arithmetic to address many children at once.
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-
-
-def _words(value: int) -> list[int]:
-    """value as SeedSequence reads it: little-endian 32-bit words, [0] for 0."""
-    words = [value & _MASK32]
-    while value >> 32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
-def _seed_pool(entropy: list) -> list:
-    """SeedSequence's mixed pool of at least _POOL_SIZE entropy words.
-
-    A word is a Python int or a uint32 array; arrays broadcast, so one call
-    mixes many entropies that differ only in their array words.  The hash
-    constants advance the same way whatever the words hold, so they stay
-    Python ints.
-    """
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = (value * hash_const) & _MASK32
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
-        return result ^ (result >> _XSHIFT)
-
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    return pool
-
-
-def child_keys(rng: SeededRng, first: int, count: int) -> np.ndarray:
-    """Philox keys of rng.child(first + j) for j < count, as (count, 2) uint64.
-
-    Row j is rng.child(first + j).generator.bit_generator.state's key: the
-    same pure function of (seed, path, index) as child, computed for every
-    index in one vectorized uint32 pass of SeedSequence's algorithm instead
-    of one SeedSequence and one Philox per child.
-    """
-    first, count = int(first), int(count)
-    if first < 0:
-        raise ValueError("child indexes must be nonnegative")
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    # a child's spawn key is never empty, so the seed is padded to the pool
-    seed_words = _words(rng.seed)
-    prefix = seed_words + [0] * (_POOL_SIZE - len(seed_words))
-    for index in rng.path:
-        prefix += _words(index)
-    keys = np.empty((count, 2), dtype=np.uint64)
-    start = first
-    while start < first + count:
-        # a run of indexes that share every word above the lowest
-        stop = min(first + count, ((start >> 32) + 1) << 32)
-        low = np.arange(start & _MASK32, (start & _MASK32) + (stop - start),
-                        dtype=np.uint32)
-        high = _words(start)[1:]
-        pool = _seed_pool(prefix + [low] + high)  # low mixes into every word
-        # generate_state(2, uint64): four output words, two per key word
-        hash_const = _INIT_B
-        state = []
-        for i in range(4):
-            value = pool[i % _POOL_SIZE] ^ hash_const
-            hash_const = (hash_const * _MULT_B) & _MASK32
-            value = (value * hash_const) & _MASK32
-            state.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
-        rows = keys[start - first:stop - first]
-        rows[:, 0] = state[0] | (state[1] << np.uint64(32))
-        rows[:, 1] = state[2] | (state[3] << np.uint64(32))
-        start = stop
-    return keys
-
-
-def child_permutations(rng: SeededRng, first: int, count: int,
-                       n: int) -> Iterator[np.ndarray]:
-    """Iterate rng.child(first + j).generator.permutation(n) for j < count.
-
-    Bit-identical to building each child, but the keys come from one
-    child_keys pass, made (and checked) at the call, and one Philox
-    generator is rewound to each key (counter 0, empty buffer, as a fresh
-    Philox starts) instead of built anew.
-    """
-    keys = child_keys(rng, first, count)
-    bit_generator = np.random.Philox(key=0)
-    generator = np.random.Generator(bit_generator)
-    # a fresh Philox's state, which only the key tells apart from a child's;
-    # the setter copies it, so one dict serves every key
-    state = bit_generator.state
-
-    def permutations():
-        for key in keys:
-            state["state"]["key"] = key
-            bit_generator.state = state
-            yield generator.permutation(n)
-
-    return permutations()
 
 
 def sample_poisson(rate: float, rng: SeededRng) -> int:

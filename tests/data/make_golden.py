@@ -28,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 import unifwatch.uniformity_tester as ut
-from unifwatch import (DistributionFamilySpec, ExperimentConfig, SeededRng,
+from unifwatch import (DistributionFamilySpec, ExperimentConfig,
+                       FullTesterParams, SeededRng,
                        StreamExhausted, SymbolStream, UniformityTestConfig,
                        derive_full_params, derive_interval_params,
                        poissonized_sample_cap, realize_family,
@@ -215,14 +216,20 @@ def interval_case(mu, eps, delta, rate, seed):
     return run
 
 
+def _full(params, rates, seed):
+    rng = SeededRng(seed)
+    freq = rng.child(0).generator.poisson(params.s * np.asarray(rates))
+    return {"params": params,
+            "verdict": _verdict(run_full_tester(params, freq, rng.child(1)))}
+
+
 def full_case(n, mu, delta, rates, seed, **overrides):
-    def run():
-        params = derive_full_params(n, mu, delta, **overrides)
-        rng = SeededRng(seed)
-        freq = rng.child(0).generator.poisson(params.s * np.asarray(rates))
-        return {"params": params,
-                "verdict": _verdict(run_full_tester(params, freq, rng.child(1)))}
-    return run
+    return lambda: _full(derive_full_params(n, mu, delta, **overrides), rates, seed)
+
+
+def fixed_full_case(params, rates, seed):
+    """The full tester at an operating point given outright, not derived."""
+    return lambda: _full(params, rates, seed)
 
 
 def bounds_case(n, m, delta, overrides):
@@ -350,6 +357,13 @@ CASES = {
     "full_tiny_null": full_case(4, 0.5, 0.5, [0.5] * 4, 1020, r=2, x_max=8, s=300),
     "full_tiny_far": full_case(4, 0.5, 0.5, [2.0, 0.003, 0.003, 0.003], 1030,
                                r=2, x_max=8, s=300),
+    # first rejections after repeat 0: at repeat 1 in the second K_BLOCK
+    # block of k, and at repeat 5 inside the batch of repeats 3..6
+    "full_late_second_block": fixed_full_case(
+        FullTesterParams(n=200, mu=1.0, tau=0.1, s=20, r=8, x_max=6),
+        [1.03] * 100 + [0.97] * 100, 338),
+    "full_late_batch": full_case(16, 2.0, 0.2, [2.0 + 0.14] * 8 + [2.0 - 0.14] * 8,
+                                 7070, r=24),
     # scaled bounds at the benchmark's operating points
     "bounds_scan_heavy": bounds_case(64, 8, 0.1, {}),
     "bounds_split_heavy": bounds_case(1000, 64, 0.1, {"r": 16}),

@@ -257,18 +257,41 @@ def test_simulate_overrides_and_csv(tmp_path, capsys):
     assert all(r.seed == 123 for r in records)
 
 
+TRACK_CONFIG = {"tester": "tracker", "family": {"family": "uniform", "n": 64},
+                "trials": 1, "seed": 3, "params": {"delta": 0.2, "max_stage": 1}}
+
+
 def test_simulate_rejects_malformed_config(tmp_path, capsys):
     config = tmp_path / "bad.json"
     # "params" is the one key for the tester params; another top-level key,
     # such as "overrides", is refused rather than read or ignored, and so is
-    # valid JSON that is not an object
-    for text in ["{not json", json.dumps({**SIM_CONFIG, "overrides": {"m": 10}}),
-                 "[1, 2]", "5"]:
+    # valid JSON that is not an object.  A value of the wrong JSON type is
+    # refused by the name of its key, as is a key no object of the config has.
+    cases = [
+        ("{not json", "error:"),
+        (json.dumps({**SIM_CONFIG, "overrides": {"m": 10}}), "overrides"),
+        ("[1, 2]", "error:"),
+        ("5", "error:"),
+        (json.dumps({**TRACK_CONFIG, "params": {"delta": 0.2, "max_stage": "3"}}),
+         "config.params.max_stage"),
+        (json.dumps({**TRACK_CONFIG, "family": {"family": "heavy_element",
+                                                "n": 64, "beta": "0.5"}}),
+         "config.family.beta"),
+        (json.dumps({**TRACK_CONFIG, "params": {"delta": None, "max_stage": 1}}),
+         "config.params.delta"),
+        (json.dumps({**TRACK_CONFIG, "params": {"delta": 0.2, "max_stage": 1,
+                                                "overrides": {"q": 8}}}),
+         "config.params.overrides: q"),
+        (json.dumps({**SIM_CONFIG, "family": {"family": "explicit", "n": 16,
+                                              "probs": [0.5, 0.5]}}),
+         "explicit family needs 16 probs"),
+    ]
+    for text, named in cases:
         config.write_text(text)
         code, out, err = run_cli(capsys, ["simulate", "--config", str(config)])
-        assert code == 2
+        assert code == 2, text
         assert out == ""
-        assert "error:" in err
+        assert "error:" in err and named in err, err
 
 
 SMOKE_ARGS = ["oracle", "opt-proxy", "--mu", "10", "--rates", "5,15"]

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -36,8 +36,9 @@ def _dense_full_tester(params, freq, rng):
     mu_mass = interval_mass_matrix(poisson_pmf_table(params.mu, params.x_max))
     lo_counts, hi_counts = dense_scaled_bounds(params, mu_mass)
     evaluated = 0
+    generator = rng.child(1).generator
     for rep in range(params.r):
-        perm = rng.child(1 + rep).generator.permutation(params.n)
+        perm = generator.permutation(params.n)
         cum = np.cumsum(hist[perm], axis=0)
         prefix = np.concatenate(
             (np.zeros((params.n, 1)), np.cumsum(cum, axis=1)), axis=1)
@@ -245,10 +246,13 @@ def test_reject_witness_is_reproducible_evidence():
     w = verdict.witness
     assert w.repeat is not None and w.subset_size is not None
     assert 0 <= w.a <= w.b <= params.x_max
-    # replay the tester's own randomness: same split children, same permutation
+    # replay the tester's own randomness: same split child, and the
+    # permutation of repeat w.repeat drawn in order from child(1)
     tester_rng = rng.child(1)
     hist = _split_histograms(params, freq, tester_rng.child(0))
-    perm = tester_rng.child(1 + w.repeat).generator.permutation(params.n)
+    generator = tester_rng.child(1).generator
+    for _ in range(w.repeat + 1):
+        perm = generator.permutation(params.n)
     count = hist[perm[:w.subset_size], w.a:w.b + 1].sum()
     est = count / (params.s * w.subset_size)
     assert w.est_mass == pytest.approx(min(est, 1.0), abs=1e-12)
@@ -330,8 +334,9 @@ def _repeat_scores(params, freq, rng):
     a, b = np.triu_indices(params.x_max + 1)
     k = np.arange(1, params.n + 1)[:, None]
     scores = []
+    generator = rng.child(1).generator
     for rep in range(params.r):
-        perm = rng.child(1 + rep).generator.permutation(params.n)
+        perm = generator.permutation(params.n)
         below = np.cumsum(np.cumsum(hist[perm], axis=0), axis=1)  # parts <= x
         counts = below[:, b] - np.where(a > 0, below[:, a - 1], 0.0)
         est = np.clip(counts / (params.s * k), 0.0, 1.0)
@@ -340,10 +345,11 @@ def _repeat_scores(params, freq, rng):
 
 
 @st.composite
-def _kernel_cases(draw):
+def _kernel_cases(draw, late=False):
     # many repeats only at small n: repeats 1..r-1 are scanned in batches of
-    # 1, 2, 4, 8, 16, ... repeats, so r up to 32 reaches batches of 16
-    many = draw(st.booleans())
+    # 1, 2, 4, 8, 16, ... repeats, so r up to 32 reaches batches of 16;
+    # late=True always puts tau where repeat 0 accepts (see below)
+    many = late or draw(st.booleans())
     if many:
         n, r = draw(st.integers(2, 24)), draw(st.integers(4, 32))
     else:
@@ -368,7 +374,7 @@ def _kernel_cases(draw):
         chosen = gen.random(n) < draw(st.sampled_from([0.5, 1.0]))
         freq[chosen] = 60 * s * (x_max + 1)
     seed = draw(st.integers(0, 2**32 - 1))
-    if many and draw(st.booleans()):
+    if many and (late or draw(st.booleans())):
         # most random thresholds reject at repeat 0; put tau where repeat 0
         # accepts and a later repeat, often inside a batch, rejects
         scores = _repeat_scores(params, freq, SeededRng(seed))
@@ -383,6 +389,22 @@ def _kernel_cases(draw):
 def test_live_window_kernel_matches_dense_scan(case):
     params, freq, seed = case
     _assert_matches_dense(params, freq, SeededRng(seed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_kernel_cases(late=True))
+def test_later_repeat_rejects_match_dense_scan_in_any_batching(case):
+    """A first rejection at repeat >= 1 equals the dense scan's, whose
+    permutations are one permutation(n) call per repeat, and stays the same
+    when BATCH_COUNTS caps every batch at one repeat."""
+    params, freq, seed = case
+    verdict = _assert_matches_dense(params, freq, SeededRng(seed))
+    assume(verdict.outcome == REJECT and verdict.witness.repeat >= 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(full_tester, "BATCH_COUNTS", 1)
+        single = run_full_tester(params, freq, SeededRng(seed))
+    assert single == verdict
+    assert single.intervals_evaluated == verdict.intervals_evaluated
 
 
 @st.composite
@@ -491,10 +513,14 @@ def test_zero_cell_witness():
 
 
 def test_reject_in_second_k_block_counts_whole_blocks():
-    """Repeat 0 accepts, repeat 1 rejects at k > K_BLOCK: both blocks count."""
+    """Repeat 0 accepts, repeat 1 rejects at k > K_BLOCK: both blocks count.
+
+    Seed 338 is the first from 0 at which _dense_full_tester's first
+    rejection on this profile falls at repeat 1 with k > K_BLOCK.
+    """
     params = FullTesterParams(n=200, mu=1.0, tau=0.1, s=20, r=8, x_max=6)
     rates = np.r_[np.full(100, 1.03), np.full(100, 0.97)]
-    rng = SeededRng(4)
+    rng = SeededRng(338)
     freq = rng.child(0).generator.poisson(params.s * rates)
     verdict = _assert_matches_dense(params, freq, rng.child(1))
     assert K_BLOCK < verdict.witness.subset_size == 169
@@ -503,12 +529,16 @@ def test_reject_in_second_k_block_counts_whole_blocks():
 
 
 def _late_reject_case():
-    """A borderline profile whose first rejection comes at repeat 5."""
+    """A borderline profile whose first rejection comes at repeat 5.
+
+    Seed 7070 is the first from 7000 at which _dense_full_tester's first
+    rejection on this profile falls at repeat 5, inside the batch of four.
+    """
     params = derive_full_params(n=16, mu=2.0, delta=0.2, r=24)
     rates = np.full(16, 2.0)
     rates[:8] += 0.14
     rates[8:] -= 0.14
-    rng = SeededRng(7008)
+    rng = SeededRng(7070)
     return params, rng.child(0).generator.poisson(params.s * rates), rng.child(1)
 
 
@@ -521,46 +551,51 @@ def test_reject_inside_a_batch_of_four_matches_dense_scan(monkeypatch):
     params, freq, rng = _late_reject_case()
     verdict = _assert_matches_dense(params, freq, rng)
     w = verdict.witness
-    assert (w.repeat, w.subset_size, w.a, w.b) == (5, 5, 0, 2)
+    assert (w.repeat, w.subset_size, w.a, w.b) == (5, 5, 0, 1)
     per_k = (params.x_max + 1) * (params.x_max + 2) // 2
     assert verdict.intervals_evaluated == (5 * 16 + 16) * per_k
     monkeypatch.setattr(full_tester, "BATCH_COUNTS", 1)
     assert _assert_matches_dense(params, freq, rng) == verdict
 
 
-def _count_permutations(monkeypatch):
-    """Record (first, count) of each child_permutations call the tester makes,
-    and how many permutations it draws from them."""
-    calls, drawn = [], []
-    child_permutations = full_tester.child_permutations
+class _KeepChildren(SeededRng):
+    """A SeededRng that keeps each child it hands out, by index."""
 
-    def counting(rng, first, count, n):
-        calls.append((first, count))
-        for perm in child_permutations(rng, first, count, n):
-            drawn.append(perm)
-            yield perm
+    def __init__(self, seed, path=()):
+        super().__init__(seed, path)
+        self.children = {}
 
-    monkeypatch.setattr(full_tester, "child_permutations", counting)
-    return calls, drawn
+    def child(self, index):
+        self.children[index] = super().child(index)
+        return self.children[index]
 
 
-def test_reject_at_repeat_zero_derives_one_permutation(monkeypatch):
-    """A repeat-0 reject derives no key and no permutation of later repeats."""
+def _assert_drew_permutations(rng, n, count):
+    """The tester took children 0 and 1 only, and left child 1's generator
+    where exactly count permutation(n) calls on a fresh one leave it."""
+    assert sorted(rng.children) == [0, 1]
+    fresh = SeededRng(rng.seed, rng.path + (1,)).generator
+    for _ in range(count):
+        fresh.permutation(n)
+    used = rng.children[1].generator
+    assert str(used.bit_generator.state) == str(fresh.bit_generator.state)
+
+
+def test_reject_at_repeat_zero_derives_one_permutation():
+    """A repeat-0 reject draws no permutation of a later repeat."""
     params = derive_full_params(n=16, mu=2.0, delta=0.2, r=24)
     rates = np.r_[np.full(8, 3.9), np.full(8, 0.1)]
     rng = SeededRng(33)
     freq = rng.child(0).generator.poisson(params.s * rates)
-    calls, drawn = _count_permutations(monkeypatch)
-    verdict = run_full_tester(params, freq, rng.child(1))
+    tester_rng = _KeepChildren(33, (1,))
+    verdict = run_full_tester(params, freq, tester_rng)
     assert verdict.outcome == REJECT and verdict.witness.repeat == 0
-    assert calls == [(1, 1)]
-    assert len(drawn) == 1
+    _assert_drew_permutations(tester_rng, params.n, 1)
 
 
-def test_accept_derives_every_permutation_once(monkeypatch):
+def test_accept_derives_every_permutation_once():
     params, _, rng = _late_reject_case()
     freq = rng.child(0).generator.poisson(params.s * 2.0, size=16)
-    calls, drawn = _count_permutations(monkeypatch)
-    assert run_full_tester(params, freq, rng).outcome == ACCEPT
-    assert calls == [(1, 1), (2, params.r - 1)]
-    assert len(drawn) == params.r
+    tester_rng = _KeepChildren(rng.seed, rng.path)
+    assert run_full_tester(params, freq, tester_rng).outcome == ACCEPT
+    _assert_drew_permutations(tester_rng, params.n, params.r)

@@ -51,6 +51,14 @@ def test_two_level_and_explicit_families():
     assert np.allclose(explicit.probs, [0.2, 0.3, 0.5])
 
 
+def test_explicit_family_needs_one_probability_per_symbol():
+    """A 2-point source on a domain of 16 is refused, not tested as 16 symbols."""
+    for probs in [(0.5, 0.5), (1 / 32,) * 32, ((0.25, 0.25), (0.25, 0.25))]:
+        with pytest.raises(ValueError, match="explicit family needs"):
+            realize_family(DistributionFamilySpec(family="explicit", n=16,
+                                                  probs=probs))
+
+
 def test_explicit_family_with_slack_negative_entry_runs_a_trial():
     """An entry in [-1e-12, 0) is stored as 0, so the source can be drawn."""
     spec = DistributionFamilySpec(family="explicit", n=3,

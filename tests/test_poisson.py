@@ -18,8 +18,7 @@ from unifwatch import (DiscreteDistribution, SeededRng, StreamExhausted,
                        read_frequency_vector, read_symbols, sample_poisson,
                        stream_from_distribution)
 from unifwatch import poisson
-from unifwatch.poisson import (child_keys, child_permutations, poisson_split,
-                               validate_frequency_vector)
+from unifwatch.poisson import poisson_split, validate_frequency_vector
 
 from reference import multinomial_split, sample_perm_poisson
 
@@ -42,46 +41,8 @@ def test_seeded_rng_children_are_independent_streams():
     # nested paths stay distinct from flat ones
     nested = root.child(0).child(1).generator.random(32)
     assert (nested != y).any()
-
-
-_WORD = 2**32
-_INDEX = st.one_of(st.integers(0, _WORD - 1), st.integers(_WORD, 2**70))
-
-
-@settings(max_examples=150, deadline=None)
-@given(seed=st.one_of(st.just(0), st.integers(1, _WORD - 1),
-                      st.integers(_WORD, 2**64 - 1), st.integers(2**64, 2**100)),
-       path=st.one_of(st.just(()), st.lists(_INDEX, min_size=1, max_size=4)),
-       first=st.one_of(st.integers(0, 1000), st.integers(_WORD - 60, _WORD + 10),
-                       st.integers(2**64 - 60, 2**64 + 10)),
-       count=st.integers(0, 50), n=st.integers(1, 40))
-def test_child_keys_and_permutations_match_child(seed, path, first, count, n):
-    """The batch helpers give each child's Philox key and permutation exactly.
-
-    first is also drawn just below 2^32 and 2^64, so a batch can cross the
-    index where the child's spawn-key word count grows.
-    """
-    rng = SeededRng(seed, tuple(path))
-    keys = child_keys(rng, first, count)
-    perms = list(child_permutations(rng, first, count, n))
-    assert keys.shape == (count, 2) and keys.dtype == np.uint64
-    assert len(perms) == count
-    for j in range(count):
-        child = rng.child(first + j)
-        assert np.array_equal(keys[j], child.generator.bit_generator.state["state"]["key"])
-        assert np.array_equal(perms[j], child.generator.permutation(n))
-
-
-def test_child_batches_reject_negative_indexes_like_child():
-    rng = SeededRng(5, (1,))
     with pytest.raises(ValueError):
-        rng.child(-1)
-    with pytest.raises(ValueError):
-        child_keys(rng, -1, 3)
-    with pytest.raises(ValueError):
-        child_permutations(rng, -1, 3, 4)  # at the call, not at the first draw
-    with pytest.raises(ValueError):
-        child_keys(rng, 0, -1)
+        root.child(-1)
 
 
 def test_sample_poisson_zero_rate():
