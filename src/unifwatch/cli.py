@@ -7,17 +7,16 @@ I/O failures.  Verdicts are data in the printed records, never exit codes.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from typing import Any
 
 import numpy as np
 
 from .distances import PoissonMixture, StructureViolationError
 from .full_tester import derive_full_params, run_full_tester
-from .harness import (DistributionFamilySpec, ExperimentConfig, run_experiment,
-                      write_records_csv, write_records_jsonl)
+from .harness import (DistributionFamilySpec, ExperimentConfig, _check_object,
+                      _check_tester_params, _check_type, jsonable,
+                      run_experiment, write_records_jsonl)
 from .interval_tester import derive_interval_params, run_interval_tester
 from .oracle import (best_interval, estimate_opt_samples,
                      exact_hellinger_poisson_vs_mixture,
@@ -29,25 +28,8 @@ from .uniformity_tester import (UniformityTestConfig, collision_count_baseline,
                                 test_uniformity)
 
 
-def _jsonable(value: Any) -> Any:
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        payload = dataclasses.asdict(value)
-        # A dataclass may carry its own "kind" discriminant; keep it.
-        payload.setdefault("kind", type(value).__name__)
-        return _jsonable(payload)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
-
-
 def _emit(record: dict) -> None:
-    print(json.dumps(_jsonable(record)))
+    print(json.dumps(jsonable(record)))
 
 
 def _read_symbol_lines(source: str) -> np.ndarray:
@@ -156,37 +138,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-# The JSON types each key of a simulate config may hold, object by object;
-# a null leaves the key at its default.
-_JSON_TYPES = {"an integer": (int,), "a number": (int, float), "a string": (str,),
-               "an array": (list,), "an object": (dict,), "null": (type(None),)}
+# The JSON types each key of a simulate config may hold, object by object
+# (the params are checked as ExperimentConfig checks them); a null leaves
+# the key at its default.
 _CONFIG_SCHEMA = {"tester": "a string", "family": "an object", "trials": "an integer",
                   "seed": "an integer", "params": "an object or null"}
 _FAMILY_SCHEMA = {"family": "a string", "n": "an integer", "seed": "an integer",
                   "probs": "an array or null", **dict.fromkeys(
                       ("beta", "fraction", "mass_split", "support_split"), "a number or null")}
-_PARAMS_SCHEMA = {"m": "an integer", "delta": "a number", "overrides": "an object or null",
-                  **dict.fromkeys(("max_stage", "max_samples"), "an integer or null")}
-_OVERRIDES_SCHEMA = {"tau": "a number or null",
-                     **dict.fromkeys(("r", "s", "x_max"), "an integer or null")}
-
-
-def _check_type(where: str, value: Any, kinds: str) -> None:
-    allowed = sum((_JSON_TYPES[kind] for kind in kinds.split(" or ")), ())
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        raise ValueError(f"{where} must be {kinds}, got {json.dumps(value)[:40]}")
-
-
-def _check_object(where: str, value: Any, schema: dict) -> dict:
-    """value, once it is an object whose keys are all in schema and hold
-    their types; a missing key is left to the code that reads it."""
-    _check_type(where, value, "an object")
-    unknown = sorted(set(value) - set(schema))
-    if unknown:
-        raise ValueError(f"unknown keys in {where}: {', '.join(unknown)}")
-    for key, item in value.items():
-        _check_type(f"{where}.{key}", item, schema[key])
-    return value
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -197,10 +156,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         for index, prob in enumerate(family_raw["probs"]):
             _check_type(f"config.family.probs[{index}]", prob, "a number")
         family_raw["probs"] = tuple(family_raw["probs"])
-    params = _check_object("config.params", raw.get("params") or {}, _PARAMS_SCHEMA)
-    if params.get("overrides") is not None:
-        _check_object("config.params.overrides", params["overrides"],
-                      _OVERRIDES_SCHEMA)
+    params = _check_tester_params("config.params", raw.get("params") or {})
     config = ExperimentConfig(
         tester=raw["tester"],
         family=DistributionFamilySpec(**family_raw),
@@ -209,11 +165,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         tester_params=params)
     records, summary = run_experiment(config)
     if args.out:
-        if args.format == "csv":
-            write_records_csv(records, args.out)
-        else:
-            write_records_jsonl(records, args.out)
-    print(json.dumps(_jsonable(summary)))
+        write_records_jsonl(records, args.out)
+    print(json.dumps(jsonable(summary)))
     return 0
 
 
@@ -286,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=None, help="override config seed")
     sim.add_argument("--trials", type=int, default=None,
                      help="override config trials")
-    sim.add_argument("--out", default=None, help="per-trial record output path")
-    sim.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
+    sim.add_argument("--out", default=None, help="per-trial JSONL record output path")
     sim.set_defaults(handler=_cmd_simulate)
 
     return parser

@@ -1,9 +1,8 @@
 """Probability-mass and distance primitives for Poisson and discrete distributions.
 
 Everything here is deterministic math: Poisson PMFs in log space, Poisson
-mixtures, interval masses, Bernoulli/vector Hellinger and total-variation
-distances, and the witness-shrinking helper used to turn a large
-distinguishing set into an interval-friendly one.
+mixtures and their likelihood ratio to one Poisson, and Bernoulli and vector
+Hellinger distances with the threshold bounds the testers compare against.
 
 All PMF evaluation goes through natural-log space and exponentiates last, so
 rates up to ~1e6 and counts up to a few hundred stay finite.  Log-factorials
@@ -24,8 +23,8 @@ PROB_SLACK = 1e-12
 class StructureViolationError(RuntimeError):
     """A structural guarantee that should hold mathematically was violated.
 
-    Raised by falsification hooks (threshold-set classification, witness
-    shrinking).  Seeing this exception means either a numerical problem or a
+    Raised by falsification hooks (threshold-set classification, truncation
+    certificates).  Seeing this exception means either a numerical problem or a
     genuine counterexample to the structure the testers rely on.
     """
 
@@ -84,15 +83,6 @@ class PoissonMixture:
         return int(self.rates.size)
 
 
-@dataclass(frozen=True)
-class IntervalMass:
-    """Mass a distribution places on the integer interval [a, b]."""
-
-    a: int
-    b: int
-    mass: float
-
-
 def _check_count(x) -> int:
     if isinstance(x, (bool, np.bool_)):
         raise ValueError("count must be an integer, not bool")
@@ -121,10 +111,6 @@ def poisson_log_pmf(rate: float, x: int) -> float:
     if rate == 0.0:
         return 0.0 if x == 0 else -math.inf
     return -rate + x * math.log(rate) - math.lgamma(x + 1)
-
-
-def poisson_pmf(rate: float, x: int) -> float:
-    return math.exp(poisson_log_pmf(rate, x))
 
 
 def mixture_pmf(mix: PoissonMixture, x: int) -> float:
@@ -165,30 +151,6 @@ def log_pmf_ratio(mix: PoissonMixture, mu: float, x: int) -> float:
         return -math.inf
     m = max(exponents)
     return m + math.log(math.fsum(math.exp(e - m) for e in exponents)) - math.log(mix.k)
-
-
-def pmf_ratio(mix: PoissonMixture, mu: float, x: int) -> float:
-    """mixture_pmf(mix, x) / Poi(mu)(x).
-
-    Overflows to +inf only when the true ratio exceeds float range; use
-    log_pmf_ratio when values that large are possible.
-    """
-    lr = log_pmf_ratio(mix, mu, x)
-    if lr > 709.0:
-        return math.inf
-    return math.exp(lr)
-
-
-def poisson_interval_mass(mu: float, a: int, b: int) -> IntervalMass:
-    """Mass Poi(mu) places on [a, b], summed directly in increasing x."""
-    mu = _check_rate(mu)
-    a = _check_count(a)
-    b = _check_count(b)
-    if a > b:
-        raise ValueError(f"empty interval: a={a} > b={b}")
-    terms = [math.exp(poisson_log_pmf(mu, x)) for x in range(a, b + 1)]
-    mass = min(max(math.fsum(terms), 0.0), 1.0)
-    return IntervalMass(a=a, b=b, mass=mass)
 
 
 def hellinger_sq_bernoulli(p, q):
@@ -252,72 +214,8 @@ def _check_same_domain(p: DiscreteDistribution, q: DiscreteDistribution):
         raise ValueError(f"domain mismatch: {p.n} vs {q.n}")
 
 
-def tv_distance(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """Total variation distance: half the L1 distance between mass vectors."""
-    _check_same_domain(p, q)
-    return 0.5 * float(np.abs(p.probs - q.probs).sum())
-
-
 def hellinger_sq(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """Squared Hellinger distance: sum of (sqrt(p_i) - sqrt(q_i))^2."""
     _check_same_domain(p, q)
     diffs = np.sqrt(np.clip(p.probs, 0.0, None)) - np.sqrt(np.clip(q.probs, 0.0, None))
     return float((diffs * diffs).sum())
-
-
-def kl_divergence(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """KL(p || q) in nats; +inf when p puts mass where q has none; 0*log 0 = 0."""
-    _check_same_domain(p, q)
-    support = p.probs > 0.0
-    if np.any(q.probs[support] == 0.0):
-        return math.inf
-    ps = p.probs[support]
-    qs = q.probs[support]
-    return float(np.sum(ps * np.log(ps / qs)))
-
-
-@dataclass(frozen=True)
-class EliminateWitness:
-    """Outcome of eliminate_large_witness: which set to use and its value."""
-
-    choice: str  # "S_minus_T" or "complement_of_T"
-    value: float
-
-
-def eliminate_large_witness(p_s: float, q_s: float, p_t: float, q_t: float,
-                            delta: float) -> EliminateWitness:
-    """Shrink a distinguishing set S by removing a small-under-q tail T.
-
-    Inputs are the masses of S and T under the two distributions, where the
-    masses of S minus T are taken to be p_s - p_t and q_s - q_t (clamped at
-    zero).  Requires hellinger_sq_bernoulli(p_s, q_s) >= delta and
-    q_t <= delta/20.  One of S minus T or the complement of T is guaranteed
-    to retain Bernoulli-Hellinger value >= delta/120; returns whichever
-    candidate achieves it (the larger of the two; ties prefer S minus T).
-
-    Raises StructureViolationError if neither candidate clears delta/120,
-    which would falsify the guarantee this relies on.
-    """
-    for name, v in (("p_s", p_s), ("q_s", q_s), ("p_t", p_t), ("q_t", q_t)):
-        if not math.isfinite(v) or v < -PROB_SLACK or v > 1.0 + PROB_SLACK:
-            raise ValueError(f"{name} must be a probability, got {v}")
-    if not 0.0 < delta < 2.0:
-        raise ValueError(f"delta must lie in (0, 2), got {delta}")
-    base = hellinger_sq_bernoulli(p_s, q_s)
-    if base < delta - PROB_SLACK:
-        raise ValueError(f"precondition failed: hellinger value {base} < delta {delta}")
-    if q_t > delta / 20.0 + PROB_SLACK:
-        raise ValueError(f"precondition failed: q_t {q_t} > delta/20 {delta / 20.0}")
-    minus_val = hellinger_sq_bernoulli(max(p_s - p_t, 0.0), max(q_s - q_t, 0.0))
-    comp_val = hellinger_sq_bernoulli(min(max(1.0 - p_t, 0.0), 1.0),
-                                      min(max(1.0 - q_t, 0.0), 1.0))
-    floor = delta / 120.0
-    if minus_val >= comp_val:
-        choice, value = "S_minus_T", minus_val
-    else:
-        choice, value = "complement_of_T", comp_val
-    if value < floor - PROB_SLACK:
-        raise StructureViolationError(
-            f"neither candidate clears delta/120 = {floor}: "
-            f"S_minus_T={minus_val}, complement_of_T={comp_val}")
-    return EliminateWitness(choice=choice, value=value)

@@ -17,8 +17,8 @@ are small against s (mu of a few) and dearer at large mu.
 Subsets are shared across sizes: each repeat draws one permutation and grows
 a prefix k = 1..n, testing every interval at threshold tau/k.  That reuses
 one permutation for all k instead of resampling a fresh subset per
-(size, interval, repeat) triple.  oracle.literal_full_tester runs the
-literal per-triple scheme as a brute-force reference.
+(size, interval, repeat) triple.  literal_full_tester in tests/reference.py
+runs the literal per-triple scheme as a brute-force reference.
 
 The scan is exact but compares only the live window.  Let L be one more
 than the largest part value the split keeps.  A cell [a, b] with a >= L

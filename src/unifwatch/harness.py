@@ -8,7 +8,6 @@ Wall-time fields are informative only; exclude them when diffing runs.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
@@ -30,8 +29,59 @@ TESTERS = ("uniformity", "tracker", "baseline")
 
 WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 
-RECORD_COLUMNS = ("trial", "seed", "verdict", "branch", "samples_consumed",
-                  "witness", "wall_time")
+# The JSON types each key of the tester params may hold; a null leaves the
+# key at its default.  The CLI checks the rest of a simulate config with the
+# same helpers.
+_JSON_TYPES = {"an integer": (int,), "a number": (int, float), "a string": (str,),
+               "an array": (list,), "an object": (dict,), "null": (type(None),)}
+_PARAMS_SCHEMA = {"m": "an integer", "delta": "a number", "overrides": "an object or null",
+                  **dict.fromkeys(("max_stage", "max_samples"), "an integer or null")}
+_OVERRIDES_SCHEMA = {"tau": "a number or null",
+                     **dict.fromkeys(("r", "s", "x_max"), "an integer or null")}
+
+
+def _check_type(where: str, value: Any, kinds: str) -> None:
+    allowed = sum((_JSON_TYPES[kind] for kind in kinds.split(" or ")), ())
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ValueError(f"{where} must be {kinds}, got {json.dumps(value)[:40]}")
+
+
+def _check_object(where: str, value: Any, schema: dict) -> dict:
+    """value, once it is an object whose keys are all in schema and hold
+    their types; a missing key is left to the code that reads it."""
+    _check_type(where, value, "an object")
+    unknown = sorted(set(value) - set(schema))
+    if unknown:
+        raise ValueError(f"unknown keys in {where}: {', '.join(unknown)}")
+    for key, item in value.items():
+        _check_type(f"{where}.{key}", item, schema[key])
+    return value
+
+
+def _check_tester_params(where: str, params: Any) -> dict:
+    _check_object(where, params, _PARAMS_SCHEMA)
+    if params.get("overrides") is not None:
+        _check_object(f"{where}.overrides", params["overrides"], _OVERRIDES_SCHEMA)
+    return params
+
+
+def jsonable(value: Any) -> Any:
+    """value with every dataclass as a dict tagged with its "kind" and every
+    numpy scalar as a Python number, ready for json.dumps."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        payload = dataclasses.asdict(value)
+        # A dataclass may carry its own "kind" discriminant; keep it.
+        payload.setdefault("kind", type(value).__name__)
+        return jsonable(payload)
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -61,7 +111,11 @@ class DistributionFamilySpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: a tester, a family, a trial count, and a master seed."""
+    """One experiment: a tester, a family, a trial count, and a master seed.
+
+    tester_params holds JSON-typed values only; a key of the wrong type, or
+    one no tester reads, raises ValueError naming it.
+    """
 
     tester: str
     family: DistributionFamilySpec
@@ -74,6 +128,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown tester {self.tester!r}; expected one of {TESTERS}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        _check_tester_params("tester_params", self.tester_params)
 
 
 @dataclass(frozen=True)
@@ -146,14 +201,6 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _witness_payload(witness: Any) -> dict | None:
-    if witness is None:
-        return None
-    payload = dataclasses.asdict(witness)
-    payload["kind"] = type(witness).__name__
-    return payload
-
-
 def _run_uniformity_trial(config: ExperimentConfig, dist: DiscreteDistribution,
                           rng: SeededRng) -> tuple[str, str | None, int, dict | None]:
     params = config.tester_params
@@ -163,7 +210,7 @@ def _run_uniformity_trial(config: ExperimentConfig, dist: DiscreteDistribution,
     stream = stream_from_distribution(dist, rng.child(0))
     verdict, report = test_uniformity(test_config, stream, rng.child(1))
     return verdict.outcome, report.branch, report.samples_consumed, \
-        _witness_payload(verdict.witness)
+        jsonable(verdict.witness)
 
 
 def _run_tracker_trial(config: ExperimentConfig, dist: DiscreteDistribution,
@@ -194,7 +241,7 @@ def _run_baseline_trial(config: ExperimentConfig, dist: DiscreteDistribution,
     verdict, report = collision_count_baseline(config.family.n,
                                                int(params["m"]), stream)
     return verdict.outcome, report.branch, report.samples_consumed, \
-        _witness_payload(verdict.witness)
+        jsonable(verdict.witness)
 
 
 _TRIAL_RUNNERS = {
@@ -250,62 +297,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], dict]:
     return records, summarize_records(config, records)
 
 
-def record_to_dict(record: TrialRecord) -> dict:
-    return dataclasses.asdict(record)
-
-
-def record_from_dict(payload: dict) -> TrialRecord:
-    return TrialRecord(trial=int(payload["trial"]), seed=int(payload["seed"]),
-                       verdict=str(payload["verdict"]),
-                       branch=payload["branch"],
-                       samples_consumed=int(payload["samples_consumed"]),
-                       witness=payload["witness"],
-                       wall_time=float(payload["wall_time"]))
-
-
 def write_records_jsonl(records: list[TrialRecord], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(record_to_dict(record)) + "\n")
-
-
-def read_records_jsonl(path: str | Path) -> list[TrialRecord]:
-    with open(path, encoding="utf-8") as handle:
-        return [record_from_dict(json.loads(line))
-                for line in handle if line.strip()]
-
-
-def write_records_csv(records: list[TrialRecord], path: str | Path) -> None:
-    # branch None <-> empty cell; witness stored as embedded JSON ("" for None)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(RECORD_COLUMNS)
-        for record in records:
-            writer.writerow([
-                record.trial, record.seed, record.verdict,
-                record.branch if record.branch is not None else "",
-                record.samples_consumed,
-                json.dumps(record.witness) if record.witness is not None else "",
-                repr(record.wall_time),
-            ])
-
-
-def read_records_csv(path: str | Path) -> list[TrialRecord]:
-    records = []
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            records.append(TrialRecord(
-                trial=int(row["trial"]), seed=int(row["seed"]),
-                verdict=row["verdict"],
-                branch=row["branch"] or None,
-                samples_consumed=int(row["samples_consumed"]),
-                witness=json.loads(row["witness"]) if row["witness"] else None,
-                wall_time=float(row["wall_time"])))
-    return records
-
-
-def write_summary(summary: dict, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+            handle.write(json.dumps(dataclasses.asdict(record)) + "\n")

@@ -2,8 +2,8 @@
 
 Nothing here is used by the testers at runtime.  These functions exist so
 tests can check structural claims (interval structure of likelihood-ratio
-threshold sets, best-interval strength, distance values, the full tester's
-shared-subset scan) against exhaustive or extended-precision computation.
+threshold sets, best-interval strength, distance values) against exhaustive
+or extended-precision computation.
 
 Summation uses math.fsum (compensated, exactly rounded); truncation points
 carry an explicit certificate of the mass left behind.
@@ -13,17 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .distances import (PoissonMixture, StructureViolationError,
                         hellinger_sq_bernoulli, log_pmf_ratio, mixture_pmf,
                         poisson_log_pmf)
-from .full_tester import FullTesterParams, _split_histograms
-from .interval_tester import (ACCEPT, REJECT, IntervalWitness, Verdict,
-                              interval_mass_matrix, poisson_pmf_table)
-from .poisson import SeededRng
 
 EXTENSION_CEILING = 1_000_000
 
@@ -124,8 +119,9 @@ def exact_tv_poisson_vs_mixture(mu: float, mix: PoissonMixture,
 def best_interval(mu: float, mix: PoissonMixture, x_max: int) -> BestInterval:
     """Exhaustive search for the interval maximizing the Bernoulli-Hellinger gap.
 
-    Scans every 0 <= a <= b <= x_max; ties resolve to the lexicographically
-    first (a, b).  O(x_max^2) using prefix sums of the two PMF tables.
+    Scores every 0 <= a <= b <= x_max as one array, in (a, b) order, from
+    prefix sums of the two PMF tables; argmax takes the first maximum, so
+    ties resolve to the lexicographically first (a, b).  O(x_max^2) memory.
     """
     mu, _ = _validated(mu, 1e-9)
     x_max = int(x_max)
@@ -137,22 +133,21 @@ def best_interval(mu: float, mix: PoissonMixture, x_max: int) -> BestInterval:
     for p, q in zip(poi, mixture):
         poi_prefix.append(poi_prefix[-1] + p)
         mix_prefix.append(mix_prefix[-1] + q)
-    best: BestInterval | None = None
-    for a in range(x_max + 1):
-        for b in range(a, x_max + 1):
-            p_mass = min(max(poi_prefix[b + 1] - poi_prefix[a], 0.0), 1.0)
-            q_mass = min(max(mix_prefix[b + 1] - mix_prefix[a], 0.0), 1.0)
-            value = float(hellinger_sq_bernoulli(p_mass, q_mass))
-            if best is None or value > best.value:
-                best = BestInterval(a=a, b=b, value=value,
-                                    poisson_mass=p_mass, mixture_mass=q_mass)
-    assert best is not None
-    return best
+    poi_prefix = np.array(poi_prefix)
+    mix_prefix = np.array(mix_prefix)
+    a, b = np.triu_indices(x_max + 1)  # every a <= b, in lexicographic order
+    p_mass = np.clip(poi_prefix[b + 1] - poi_prefix[a], 0.0, 1.0)
+    q_mass = np.clip(mix_prefix[b + 1] - mix_prefix[a], 0.0, 1.0)
+    values = hellinger_sq_bernoulli(p_mass, q_mass)
+    best = int(np.argmax(values))
+    return BestInterval(a=int(a[best]), b=int(b[best]), value=float(values[best]),
+                        poisson_mass=float(p_mass[best]),
+                        mixture_mass=float(q_mass[best]))
 
 
 def threshold_set_structure(mu: float, mix: PoissonMixture, r: float,
                             x_max: int) -> ThresholdSetStructure:
-    """Classify {x : pmf_ratio(mix, mu, x) >= r} as one of four shapes.
+    """Classify {x : log_pmf_ratio(mix, mu, x) >= log r} as one of four shapes.
 
     Discrete convexity of the ratio forces the set to be an integer interval
     or the complement of one; more than two membership flips raises
@@ -217,40 +212,6 @@ def threshold_set_structure(mu: float, mix: PoissonMixture, r: float,
     return ThresholdSetStructure(kind="interval", a=first, b=second - 1)
 
 
-def literal_full_tester(params: FullTesterParams, freq: np.ndarray,
-                        rng: SeededRng) -> Verdict:
-    """Full tester with a fresh random subset for every (k, interval, repeat).
-
-    The literal per-triple scheme that run_full_tester's shared-prefix scan
-    replaces: exponentially more subset draws for the same guarantee, so
-    desk scale only.  Same child-RNG layout: child(0) splits the counts,
-    child(1) draws every subset.
-    """
-    hist = _split_histograms(params, freq, rng.child(0))
-    width = params.x_max + 1
-    mu_mass = interval_mass_matrix(poisson_pmf_table(params.mu, params.x_max))
-    gen = rng.child(1).generator
-    evaluated = 0
-    for k in range(1, params.n + 1):
-        threshold = params.tau / k
-        for a in range(width):
-            for b in range(a, width):
-                for rep in range(params.r):
-                    subset = gen.choice(params.n, size=k, replace=False)
-                    count = float(hist[subset, a:b + 1].sum())
-                    est = min(count / (params.s * k), 1.0)
-                    evaluated += 1
-                    gap = hellinger_sq_bernoulli(float(mu_mass[a, b]), est)
-                    if gap >= threshold:
-                        witness = IntervalWitness(
-                            a=a, b=b, mu_mass=float(mu_mass[a, b]),
-                            est_mass=est, hellinger_sq=float(gap),
-                            repeat=rep, subset_size=k)
-                        return Verdict(outcome=REJECT, witness=witness,
-                                       intervals_evaluated=evaluated)
-    return Verdict(outcome=ACCEPT, intervals_evaluated=evaluated)
-
-
 def estimate_opt_samples(mu: float, mix: PoissonMixture, tol: float = 1e-9) -> int:
     """Proxy for the samples an optimal profile-aware test needs: ceil(1/H^2).
 
@@ -262,29 +223,3 @@ def estimate_opt_samples(mu: float, mix: PoissonMixture, tol: float = 1e-9) -> i
     if value <= 10.0 * tol:
         raise ValueError(f"distributions are indistinguishable (H^2 = {value:.3g})")
     return int(math.ceil(1.0 / value))
-
-
-def mc_tv_lower_bound(sample_p: Callable[[np.random.Generator], float],
-                      sample_q: Callable[[np.random.Generator], float],
-                      trials: int, rng: SeededRng) -> float:
-    """Monte Carlo lower bound on TV via the best threshold on a scalar statistic.
-
-    sample_p and sample_q map a generator to one statistic value.  For any
-    threshold t, |P[stat >= t] - Q[stat >= t]| lower-bounds the TV distance;
-    this sweeps all empirical thresholds and returns the best gap.  Subject
-    to O(1/sqrt(trials)) estimation error, which the caller budgets for.
-    """
-    trials = int(trials)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    gen_p = rng.child(0).generator
-    gen_q = rng.child(1).generator
-    stats_p = np.array([float(sample_p(gen_p)) for _ in range(trials)])
-    stats_q = np.array([float(sample_q(gen_q)) for _ in range(trials)])
-    thresholds = np.unique(np.concatenate([stats_p, stats_q]))
-    # fraction of samples >= t, via descending-sorted search
-    p_sorted = np.sort(stats_p)
-    q_sorted = np.sort(stats_q)
-    p_ge = 1.0 - np.searchsorted(p_sorted, thresholds, side="left") / trials
-    q_ge = 1.0 - np.searchsorted(q_sorted, thresholds, side="left") / trials
-    return float(np.abs(p_ge - q_ge).max())

@@ -1,15 +1,13 @@
-"""Sampling plumbing: seeded RNG, exact Poisson draws, splitting, frequency vectors.
+"""Sampling plumbing: seeded RNG, count splitting, frequency vectors, streams.
 
 The RNG is numpy's Philox bit generator, a counter-based PRNG with a
 documented algorithm, wrapped so that independent child generators can be
 derived by index (SeedSequence spawn keys).  Identical seed and call sequence
 reproduce outputs bit-exactly on any platform for a fixed numpy version.
 
-Poisson draws use numpy's exact sampler (inversion for small rates,
-transformed rejection for large ones); no normal approximation is involved
-at any rate.  poisson_split splits counts exactly by throwing balls into
-bins: every sample gets one uniform bin label, so a split costs
-O(sum(y) + len(y)*s) vectorized operations, not s binomial draws per count.
+poisson_split splits counts exactly by throwing balls into bins: every
+sample gets one uniform bin label, so a split costs O(sum(y) + len(y)*s)
+vectorized operations, not s binomial draws per count.
 
 stream_from_distribution draws a non-uniform source through a guide table
 (Chen & Asau 1974; Devroye 1986, sec. III.2): one uniform double per symbol
@@ -53,14 +51,6 @@ class SeededRng:
 
     def __repr__(self) -> str:
         return f"SeededRng(seed={self.seed}, path={self.path})"
-
-
-def sample_poisson(rate: float, rng: SeededRng) -> int:
-    """One exact Poisson draw.  Rejects NaN, negative, or infinite rates."""
-    rate = float(rate)
-    if not math.isfinite(rate) or rate < 0:
-        raise ValueError(f"rate must be finite and nonnegative, got {rate}")
-    return int(rng.generator.poisson(rate))
 
 
 # poisson_split draws at most SPLIT_CHUNK bin labels at a time, so beyond
@@ -151,13 +141,6 @@ def poissonize(samples: np.ndarray, n: int) -> np.ndarray:
         raise ValueError(f"symbol out of range 1..{n}")
     return np.bincount(samples, minlength=n + 1)[1:].astype(np.int64) if samples.size \
         else np.zeros(n, dtype=np.int64)
-
-
-def depoissonize(freq: np.ndarray, rng: SeededRng) -> np.ndarray:
-    """Expand counts back into a uniformly shuffled sequence of symbols."""
-    freq = validate_frequency_vector(freq)
-    symbols = np.repeat(np.arange(1, freq.size + 1, dtype=np.int64), freq)
-    return rng.generator.permutation(symbols)
 
 
 class SymbolStream:

