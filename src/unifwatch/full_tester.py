@@ -37,11 +37,20 @@ all of [0, x_max], the same scan the interval tester runs.
 Every repeat draws its permutation, in order, from rng.child(1).  Repeat 0
 runs alone, so a rejection there builds no later block and draws no later
 permutation.  Once it accepts, no zero-count cell fires at any k, and the
-other repeats are scanned in batches of 1, 2, 4, ... repeats, up to about
-BATCH_COUNTS counts each: one Generator.permuted call on rows of arange(n),
-whose rows take the same Fisher-Yates draws as one permutation(n) call
-each, then one prefix sum, one matrix product and two comparisons.  The
-first repeat of a batch with a violation holds the lowest witness.
+other repeats need not all be scanned.  Whatever the permutation, a live
+cell's count at size k lies between the sums of the k smallest and of the
+k largest per-coordinate counts of that cell (the sorted-count envelope).
+A (k, cell) pair is reachable when that envelope meets one of its bounds;
+no other pair can fire in any repeat.  When no pair is reachable the
+tester accepts at once, having drawn one permutation.  Otherwise it scans
+the later repeats over the reachable rectangle only (k up to the largest
+reachable k, and the cells with a reachable pair) in batches of 1, 2,
+4, ... repeats, up to about BATCH_COUNTS counts each: one
+Generator.permuted call on rows of arange(n), whose rows take the same
+Fisher-Yates draws as one permutation(n) call each, then one prefix sum
+of the subsets up to that k, one matrix product onto the reachable cells
+and two comparisons.  The first repeat of a batch with a violation holds
+the lowest witness.
 """
 
 from __future__ import annotations
@@ -243,9 +252,7 @@ def run_full_tester(params: FullTesterParams, freq: np.ndarray,
     Rejection takes the lowest (repeat, k, a, b) witness, so the verdict is a
     pure function of (params, freq, rng seed).  Total interval evaluations
     are bounded by r*n*(x_max+1)*(x_max+2)/2 and reported on the verdict.
-    Repeat j permutes with the (j+1)-th permutation(n) of rng.child(1);
-    the later repeats draw and scan theirs a batch at a time (see the
-    module docstring), bit-identical to one draw each.
+    Repeat j permutes with the (j+1)-th permutation(n) of rng.child(1).
 
     Only the live window is compared (see the module docstring): with L =
     1 + the largest part value the split kept, or 0 when it kept none, a
@@ -255,7 +262,14 @@ def run_full_tester(params: FullTesterParams, freq: np.ndarray,
     a < L in (k, a, b) order.  Repeat 0 builds the bounds of those cells
     (_live_bounds) per K_BLOCK block of k as it reaches them, so a
     rejection in an early block never builds the later ones.
-    intervals_evaluated still counts every cell of each block scanned: a
+
+    After repeat 0 accepts, the sorted-count envelope proves every pair it
+    cannot reach silent in all later repeats.  Draws: a rejection at
+    repeat 0, or an accept with no reachable pair, draws one permutation;
+    an accept with a reachable pair draws all r; a later rejection draws
+    up to the end of its batch.  No caller sees these draws: child(1) is
+    the tester's own generator.  intervals_evaluated still counts every
+    cell of each block scanned, r*n*(x_max+1)*(x_max+2)/2 on accept: a
     cell proved silent without a comparison is decided all the same.  The
     witness is the lowest (a, b) that first_violation finds in the
     rejecting subset's prefix counts at threshold tau/k and scale s*k.
@@ -294,24 +308,38 @@ def run_full_tester(params: FullTesterParams, freq: np.ndarray,
             return reject(0, k0 + k_off + 1, prefix[k0 + k_off])
         blocks.append((lo, hi))
 
-    # Repeat 0 accepted, so no zero-count cell fires at any k, and the later
-    # repeats compare only the live cells, a batch of repeats at a time.
-    # Batches grow 1, 2, 4, ... so an early rejection scans little more than
-    # it needs, up to about BATCH_COUNTS counts.
+    # Repeat 0 accepted, so no zero-count cell fires at any k, and a later
+    # repeat can fire only at a (k, cell) pair whose sorted-count envelope,
+    # the sums of the k smallest and k largest per-coordinate counts,
+    # meets a bound.
     lo_cells, hi_cells = (np.concatenate(side) for side in zip(*blocks))
-    cells = diff.shape[1]
-    most = max(1, BATCH_COUNTS // (n * max(cells, 1)))
+    ranked = np.sort(row_prefix @ diff, axis=0)   # each cell's per-coordinate counts
+    reach = ((np.cumsum(ranked, axis=0) <= lo_cells)
+             | (np.cumsum(ranked[::-1], axis=0) >= hi_cells))   # (k, cell)
+    accept = Verdict(outcome=ACCEPT, intervals_evaluated=params.r * n * per_k_intervals)
+    if not reach.any():
+        return accept
+    # The later repeats count only the reachable rectangle, k <= top and the
+    # cells with a reachable pair, a batch of repeats at a time.  Batches
+    # grow 1, 2, 4, ... so an early rejection scans little more than it
+    # needs, up to about BATCH_COUNTS counts.
+    top = int(np.flatnonzero(reach.any(axis=1))[-1]) + 1
+    columns = np.flatnonzero(reach.any(axis=0))
+    # take, unlike [:, columns], keeps C order for the row-wise comparisons
+    diff, lo_cells, hi_cells = (np.take(table, columns, axis=1)
+                                for table in (diff, lo_cells[:top], hi_cells[:top]))
+    most = max(1, BATCH_COUNTS // (top * columns.size))
     rep, size = 1, 1
     while rep < params.r:
         size = min(size, most, params.r - rep)
         batch = generator.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
-        prefix = np.cumsum(row_prefix[batch], axis=1).reshape(size * n, live + 1)
-        counts = (prefix @ diff).reshape(size, n, cells)         # (repeat, k, cell)
+        prefix = np.cumsum(row_prefix[batch[:, :top]], axis=1).reshape(size * top, live + 1)
+        counts = (prefix @ diff).reshape(size, top, columns.size)  # (repeat, k, cell)
         below, above = counts <= lo_cells, counts >= hi_cells
         if below.any() or above.any():
             viol = below | above
-            j, k_off = divmod(int(np.argmax(viol.any(axis=2))), n)
-            return reject(rep + j, k_off + 1, prefix[j * n + k_off])
+            j, k_off = divmod(int(np.argmax(viol.any(axis=2))), top)
+            return reject(rep + j, k_off + 1, prefix[j * top + k_off])
         rep += size
         size *= 2
-    return Verdict(outcome=ACCEPT, intervals_evaluated=params.r * n * per_k_intervals)
+    return accept

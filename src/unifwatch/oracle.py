@@ -119,9 +119,11 @@ def exact_tv_poisson_vs_mixture(mu: float, mix: PoissonMixture,
 def best_interval(mu: float, mix: PoissonMixture, x_max: int) -> BestInterval:
     """Exhaustive search for the interval maximizing the Bernoulli-Hellinger gap.
 
-    Scores every 0 <= a <= b <= x_max as one array, in (a, b) order, from
-    prefix sums of the two PMF tables; argmax takes the first maximum, so
-    ties resolve to the lexicographically first (a, b).  O(x_max^2) memory.
+    Scores every 0 <= a <= b <= x_max from prefix sums of the two PMF
+    tables, a block of rows a at a time, so memory stays O(x_max) however
+    large x_max is.  Within a block argmax takes the first maximum in (a, b)
+    order, and a later block replaces the best only when strictly greater,
+    so ties resolve to the lexicographically first (a, b).
     """
     mu, _ = _validated(mu, 1e-9)
     x_max = int(x_max)
@@ -135,14 +137,20 @@ def best_interval(mu: float, mix: PoissonMixture, x_max: int) -> BestInterval:
         mix_prefix.append(mix_prefix[-1] + q)
     poi_prefix = np.array(poi_prefix)
     mix_prefix = np.array(mix_prefix)
-    a, b = np.triu_indices(x_max + 1)  # every a <= b, in lexicographic order
-    p_mass = np.clip(poi_prefix[b + 1] - poi_prefix[a], 0.0, 1.0)
-    q_mass = np.clip(mix_prefix[b + 1] - mix_prefix[a], 0.0, 1.0)
-    values = hellinger_sq_bernoulli(p_mass, q_mass)
-    best = int(np.argmax(values))
-    return BestInterval(a=int(a[best]), b=int(b[best]), value=float(values[best]),
-                        poisson_mass=float(p_mass[best]),
-                        mixture_mass=float(q_mass[best]))
+    rows = max(1, (1 << 16) // (x_max + 1))  # at most about 64k cells per block
+    best = None
+    for a0 in range(0, x_max + 1, rows):
+        a = np.arange(a0, min(a0 + rows, x_max + 1))[:, None]
+        b = np.arange(a0, x_max + 1)  # no b < a0 can pair with these rows
+        p_mass = np.clip(poi_prefix[b + 1] - poi_prefix[a], 0.0, 1.0)
+        q_mass = np.clip(mix_prefix[b + 1] - mix_prefix[a], 0.0, 1.0)
+        values = np.where(b >= a, hellinger_sq_bernoulli(p_mass, q_mass), -np.inf)
+        row, col = np.unravel_index(int(np.argmax(values)), values.shape)
+        if best is None or values[row, col] > best.value:
+            best = BestInterval(a=a0 + int(row), b=a0 + int(col), value=float(values[row, col]),
+                                poisson_mass=float(p_mass[row, col]),
+                                mixture_mass=float(q_mass[row, col]))
+    return best
 
 
 def threshold_set_structure(mu: float, mix: PoissonMixture, r: float,

@@ -151,6 +151,28 @@ def test_a4_full_tester_completeness():
           time.perf_counter() - start, 300.0)
 
 
+def test_a4_full_tester_completeness_at_derived_r():
+    """A4 at the derived operating point: r = 7,855, no override.
+
+    Same seeds, trial count and floor as A4.  Most null accepts are decided
+    from repeat 0 and the sorted-count envelope, so the 200 trials take
+    seconds, not the minute a full scan of every repeat would.
+    """
+    start = time.perf_counter()
+    params = derive_full_params(64, 2.0, 0.05)
+    assert params.r == 7855
+    trials = 200
+    accepts = 0
+    for t in range(trials):
+        freq = SeededRng(23_000 + t).generator.poisson(params.s * 2.0, size=64)
+        verdict = run_full_tester(params, freq.astype(np.int64), SeededRng(33_000 + t))
+        accepts += verdict.outcome == ACCEPT
+    rate = accepts / trials
+    _gate("A4 derived", rate >= 0.95 - 0.05,
+          f"n=64 mu=2 delta=0.05 r={params.r} s={params.s} accept={rate:.3f} (floor 0.90)",
+          time.perf_counter() - start, 300.0)
+
+
 def test_a5_full_tester_soundness():
     """Same tester rejects a heavy-element rate profile it provably must.
 
@@ -286,6 +308,27 @@ def test_a8_tracker_guarantees():
           f"uniform ever-reject={ever_reject:.3f} (cap 0.3); point mass "
           f"{point_caught}/{trials} mean={point_mean:.0f} vs opt~{point_opt}; "
           f"heavy(0.5) {heavy_caught}/{trials} mean={heavy_mean:.0f} vs opt~{heavy_opt}",
+          time.perf_counter() - start, 900.0)
+
+
+def test_a8_tracker_uniform_at_derived_r():
+    """A8's uniform half at the derived r of every stage (no override).
+
+    30 trials on A8's first seeds, with A8's cap on the ever-reject rate.
+    The point-mass and heavy(0.5) catches stay in A8: they stop in the
+    collision stages, where r plays no part.
+    """
+    start = time.perf_counter()
+    n, delta, trials = 64, 0.2, 30
+    uniform = DiscreteDistribution.uniform(n)
+    rejected = 0
+    for t in range(trials):
+        state = tracker_new(n, delta, 29_000 + t, max_stage=5)
+        stream = stream_from_distribution(uniform, SeededRng(39_000 + t))
+        rejected += tracker_run(state, stream) == REJECTED
+    ever_reject = rejected / trials
+    _gate("A8 derived", ever_reject <= 0.3,
+          f"uniform ever-reject={ever_reject:.3f} (cap 0.3) over {trials} trials",
           time.perf_counter() - start, 900.0)
 
 

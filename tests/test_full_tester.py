@@ -322,6 +322,18 @@ def test_lumpy_alternative_reject_rate_small_scale():
     assert rejects >= 18
 
 
+def _cell_counts(hist, a, b):
+    """Parts in each cell [a, b] per row of hist: one column per cell."""
+    below = np.cumsum(hist, axis=1)  # parts <= x
+    return below[:, b] - np.where(a > 0, below[:, a - 1], 0.0)
+
+
+def _envelope(own):
+    """Per k, the sums of the k smallest and the k largest rows of own."""
+    ranked = np.sort(own, axis=0)
+    return np.cumsum(ranked, axis=0), np.cumsum(ranked[::-1], axis=0)
+
+
 def _repeat_scores(params, freq, rng):
     """Per repeat, the largest k * H^2 over its (k, a, b) cells.
 
@@ -337,8 +349,7 @@ def _repeat_scores(params, freq, rng):
     generator = rng.child(1).generator
     for rep in range(params.r):
         perm = generator.permutation(params.n)
-        below = np.cumsum(np.cumsum(hist[perm], axis=0), axis=1)  # parts <= x
-        counts = below[:, b] - np.where(a > 0, below[:, a - 1], 0.0)
+        counts = _cell_counts(np.cumsum(hist[perm], axis=0), a, b)
         est = np.clip(counts / (params.s * k), 0.0, 1.0)
         scores.append((k * hellinger_sq_bernoulli(mu_mass[a, b], est)).max())
     return np.array(scores)
@@ -593,9 +604,125 @@ def test_reject_at_repeat_zero_derives_one_permutation():
     _assert_drew_permutations(tester_rng, params.n, 1)
 
 
-def test_accept_derives_every_permutation_once():
+def test_silent_accept_derives_one_permutation():
+    """An accept whose envelope leaves no (k, cell) pair able to fire draws
+    the permutation of repeat 0 and no other."""
     params, _, rng = _late_reject_case()
     freq = rng.child(0).generator.poisson(params.s * 2.0, size=16)
+    assert _reachable_pairs(params, freq, rng) == 0
     tester_rng = _KeepChildren(rng.seed, rng.path)
     assert run_full_tester(params, freq, tester_rng).outcome == ACCEPT
+    _assert_drew_permutations(tester_rng, params.n, 1)
+
+
+def test_reachable_accept_derives_every_permutation_once():
+    """An accept that keeps a reachable pair scans, so draws, all r repeats.
+
+    Seed 7000 is the first from 7000 at which the borderline profile of
+    _late_reject_case accepts with a reachable pair (209 of 1,248).
+    """
+    params = derive_full_params(n=16, mu=2.0, delta=0.2, r=24)
+    rates = np.full(16, 2.0)
+    rates[:8] += 0.14
+    rates[8:] -= 0.14
+    rng = SeededRng(7000)
+    freq = rng.child(0).generator.poisson(params.s * rates)
+    assert _reachable_pairs(params, freq, rng.child(1)) == 209
+    tester_rng = _KeepChildren(7000, (1,))
+    assert run_full_tester(params, freq, tester_rng).outcome == ACCEPT
     _assert_drew_permutations(tester_rng, params.n, params.r)
+
+
+def test_null_accept_at_the_derived_point_derives_one_permutation():
+    """At n=64, m=8, delta=0.1 (r = 6,379) a null accept decides every later
+    repeat from the envelope: seed 0 leaves no reachable pair (of seeds
+    0-9, only 5, 6 and 7 keep 3-20 pairs), so it draws one permutation."""
+    params = UniformityTestConfig(64, 8, 0.1).params
+    assert params.r == 6379
+    freq = SeededRng(0).child(0).generator.poisson(params.s * params.mu, size=params.n)
+    tester_rng = _KeepChildren(0, (1,))
+    verdict = run_full_tester(params, freq, tester_rng)
+    assert verdict.outcome == ACCEPT
+    assert verdict.intervals_evaluated == params.r * 64 * 59 * 60 // 2
+    _assert_drew_permutations(tester_rng, params.n, 1)
+
+
+def _reachable_pairs(params, freq, rng):
+    """How many live (k, cell) pairs the sorted-count envelope lets fire."""
+    hist = _split_histograms(params, freq, rng.child(0))
+    live = _live_rows(params, freq, rng)
+    mu_mass = interval_mass_matrix(poisson_pmf_table(params.mu, params.x_max))
+    lo, hi, _ = _live_bounds(params, mu_mass, live, 0, params.n)
+    low, high = _envelope(_cell_counts(hist[:, :live], *np.triu_indices(live)))
+    return int(((low <= lo) | (high >= hi)).sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.integers(1, 30).flatmap(lambda n: st.lists(
+           st.lists(st.integers(0, 1000), min_size=n, max_size=n),
+           min_size=1, max_size=12)),
+       seed=st.integers(0, 2**32 - 1))
+def test_prefix_sums_lie_inside_the_sorted_envelope(counts, seed):
+    """For any nonnegative counts and any permutation, the sum of the first
+    k rows lies between the sums of the k smallest and k largest counts."""
+    own = np.array(counts, dtype=np.float64).T  # (coordinate, cell)
+    perm = np.random.default_rng(seed).permutation(own.shape[0])
+    prefix = np.cumsum(own[perm], axis=0)
+    low, high = _envelope(own)
+    assert (low <= prefix).all() and (prefix <= high).all()
+
+
+def _envelope_edge(params, freq, rng):
+    """The largest k * H^2 the sorted-count envelope allows any (k, a, b).
+
+    Every count of repeat j lies inside the envelope, so no repeat scores
+    above it, and a tau between repeat 0's score and this edge leaves the
+    pairs whose envelope reaches tau, few of them when tau is near it.
+    """
+    hist = _split_histograms(params, freq, rng.child(0))
+    mu_mass = interval_mass_matrix(poisson_pmf_table(params.mu, params.x_max))
+    a, b = np.triu_indices(params.x_max + 1)
+    k = np.arange(1, params.n + 1)[:, None]
+    edge = 0.0
+    for side in _envelope(_cell_counts(hist, a, b)):
+        est = np.clip(side / (params.s * k), 0.0, 1.0)
+        edge = max(edge, (k * hellinger_sq_bernoulli(mu_mass[a, b], est)).max())
+    return edge
+
+
+@st.composite
+def _envelope_cases(draw):
+    """_kernel_cases(late=True) inputs with tau moved above repeat 0's
+    score and near either the envelope's edge or the best later repeat's
+    score, so repeat 0 accepts, only a few (k, cell) pairs stay reachable,
+    and near the best later score one of them fires."""
+    params, freq, seed = draw(_kernel_cases(late=True))
+    scores = _repeat_scores(params, freq, SeededRng(seed))
+    edge = _envelope_edge(params, freq, SeededRng(seed))
+    assume(edge > scores[0])
+    if scores[1:].max() > scores[0] and draw(st.integers(0, 3)):
+        edge = scores[1:].max()
+    tau = scores[0] + draw(st.floats(0.6, 0.999)) * (edge - scores[0])
+    return dataclasses.replace(params, tau=float(tau)), freq, seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_envelope_cases())
+@example(case=(FullTesterParams(n=3, mu=1.0, tau=1.377142691005783, s=1, r=4,
+                                x_max=0), np.array([1, 0, 0]), 0))
+@example(case=(FullTesterParams(n=3, mu=2.0, tau=1.2030872706348212, s=2, r=4,
+                                x_max=1), np.array([2, 0, 7]), 0))
+@example(case=(FullTesterParams(n=4, mu=2.0, tau=1.7583150425087912, s=1, r=4,
+                                x_max=1), np.array([1, 1, 2, 0]), 0))
+def test_envelope_pruned_scan_matches_dense_scan_in_any_batching(case):
+    """With few reachable pairs, the scan of the reachable rectangle equals
+    the dense scan, and equals itself with every batch capped at one
+    repeat.  The examples reject on the rectangle's edge: at its largest
+    k, in its first cell and in its last cell."""
+    params, freq, seed = case
+    verdict = _assert_matches_dense(params, freq, SeededRng(seed))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(full_tester, "BATCH_COUNTS", 1)
+        single = run_full_tester(params, freq, SeededRng(seed))
+    assert single == verdict
+    assert single.intervals_evaluated == verdict.intervals_evaluated

@@ -6,6 +6,7 @@ constants are checked against an independent computation, not just replayed.
 """
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -17,6 +18,7 @@ from unifwatch import (BestInterval, DiscreteDistribution, PoissonMixture,
                        estimate_opt_samples, exact_hellinger_poisson_vs_mixture,
                        exact_tv_poisson_vs_mixture, hellinger_sq_bernoulli,
                        threshold_set_structure)
+from unifwatch.oracle import _pmf_tables
 
 from reference import (brute_force_tv_product, calibrate_good_interval_constant,
                        load_pinned_calibration, mc_tv_lower_bound, pmf_ratio,
@@ -110,6 +112,49 @@ def test_best_interval_positive_iff_separated():
     assert identical.value <= 1e-12
     separated = best_interval(10.0, MIX_5_15, x_max=40)
     assert separated.value > 1e-12
+
+
+def _one_array_best_interval(mu, mix, x_max):
+    """best_interval scored as one O(x_max^2) array of every a <= b."""
+    poi, mixture = _pmf_tables(mu, mix, x_max)
+    poi_prefix, mix_prefix = [0.0], [0.0]
+    for p, q in zip(poi, mixture):
+        poi_prefix.append(poi_prefix[-1] + p)
+        mix_prefix.append(mix_prefix[-1] + q)
+    poi_prefix, mix_prefix = np.array(poi_prefix), np.array(mix_prefix)
+    a, b = np.triu_indices(x_max + 1)
+    p_mass = np.clip(poi_prefix[b + 1] - poi_prefix[a], 0.0, 1.0)
+    q_mass = np.clip(mix_prefix[b + 1] - mix_prefix[a], 0.0, 1.0)
+    values = hellinger_sq_bernoulli(p_mass, q_mass)
+    best = int(np.argmax(values))
+    return BestInterval(a=int(a[best]), b=int(b[best]), value=float(values[best]),
+                        poisson_mass=float(p_mass[best]),
+                        mixture_mass=float(q_mass[best]))
+
+
+@pytest.mark.parametrize("mu, rates, x_max", [
+    (10.0, [5.0, 15.0], 40), (5.0, [5.0], 30), (5.0, [5.0], 300),
+    (0.0, [0.0], 0), (2.0, [0.5, 9.0], 1), (3.0, [1.0, 2.0, 20.0], 257),
+    (40.0, [10.0, 80.0], 700)])
+def test_best_interval_blocks_match_one_array(mu, rates, x_max):
+    """Blocks of rows give the one-array result, ties included: Poi(5)
+    against itself ties at 0 everywhere, and x_max = 257 and above spans
+    more than one block."""
+    mix = PoissonMixture(rates)
+    assert best_interval(mu, mix, x_max) == _one_array_best_interval(mu, mix, x_max)
+
+
+def test_best_interval_memory_stays_linear_in_x_max():
+    """x_max = 2,000 has 2.0M cells (15 MiB as one float64 array, and
+    153 MiB when scored as one array); blocks of rows peak under 16 MiB."""
+    tracemalloc.start()
+    try:
+        found = best_interval(10.0, MIX_5_15, x_max=2_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (found.a, found.b) == (BEST.a, BEST.b)
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def structure_member(structure: ThresholdSetStructure, x: int) -> bool:
