@@ -23,8 +23,8 @@ from .oracle import (BestInterval, ThresholdSetStructure, best_interval,
                      estimate_opt_samples, exact_hellinger_poisson_vs_mixture,
                      exact_tv_poisson_vs_mixture, threshold_set_structure)
 from .poisson import (SeededRng, StreamExhausted, SymbolStream, poissonize,
-                      read_frequency_vector, read_symbols,
-                      stream_from_distribution)
+                      read_frequency_vector, stream_from_distribution,
+                      stream_from_lines)
 from .tracker import (BUDGET_EXHAUSTED, PLAUSIBLE, REJECTED, StageRecord,
                       TrackerState, stage_failure_budget, stage_sample_target,
                       tracker_feed, tracker_new, tracker_run)
@@ -51,10 +51,10 @@ __all__ = [
     "exact_tv_poisson_vs_mixture", "hellinger_sq", "hellinger_sq_bernoulli",
     "hellinger_sq_bernoulli_bounds", "log_pmf_ratio", "mixture_pmf",
     "poisson_log_pmf", "poissonize", "poissonized_sample_cap",
-    "read_frequency_vector", "read_symbols", "realize_family",
+    "read_frequency_vector", "realize_family",
     "run_experiment", "run_full_tester", "run_interval_tester",
-    "stage_failure_budget", "stage_sample_target",
-    "stream_from_distribution", "subset_thresholds", "summarize_records",
+    "stage_failure_budget", "stage_sample_target", "stream_from_distribution",
+    "stream_from_lines", "subset_thresholds", "summarize_records",
     "test_uniformity", "tracker_feed", "tracker_new", "tracker_run",
     "wilson_interval", "write_records_jsonl",
 ]

@@ -7,6 +7,7 @@ I/O failures.  Verdicts are data in the printed records, never exit codes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -14,15 +15,15 @@ import numpy as np
 
 from .distances import PoissonMixture, StructureViolationError
 from .full_tester import derive_full_params, run_full_tester
-from .harness import (DistributionFamilySpec, ExperimentConfig, _check_object,
-                      _check_tester_params, _check_type, jsonable,
+from .harness import (_FAMILY_SCHEMA, DistributionFamilySpec, ExperimentConfig,
+                      _check_object, _check_tester_params, jsonable,
                       run_experiment, write_records_jsonl)
 from .interval_tester import derive_interval_params, run_interval_tester
 from .oracle import (best_interval, estimate_opt_samples,
                      exact_hellinger_poisson_vs_mixture,
                      exact_tv_poisson_vs_mixture, threshold_set_structure)
-from .poisson import (SeededRng, StreamExhausted, SymbolStream,
-                      read_frequency_vector, read_symbols)
+from .poisson import (SeededRng, StreamExhausted, read_frequency_vector,
+                      stream_from_lines)
 from .tracker import tracker_new, tracker_run
 from .uniformity_tester import (UniformityTestConfig, collision_count_baseline,
                                 test_uniformity)
@@ -32,11 +33,11 @@ def _emit(record: dict) -> None:
     print(json.dumps(jsonable(record)))
 
 
-def _read_symbol_lines(source: str) -> np.ndarray:
+def _open_lines(source: str):
+    """The file, or stdin for "-", as a context for one stream_from_lines."""
     if source == "-":
-        return read_symbols(sys.stdin)
-    with open(source, encoding="utf-8") as handle:
-        return read_symbols(handle)
+        return contextlib.nullcontext(sys.stdin)
+    return open(source, encoding="utf-8")
 
 
 def _parse_rates(text: str) -> PoissonMixture:
@@ -56,13 +57,14 @@ def _overrides_from(args: argparse.Namespace) -> dict:
 
 
 def _cmd_test(args: argparse.Namespace) -> int:
-    stream = SymbolStream(_read_symbol_lines(args.samples))
-    if args.baseline == "collision-count":
-        verdict, report = collision_count_baseline(args.n, args.m, stream)
-    else:
-        config = UniformityTestConfig(n=args.n, m=args.m, delta=args.delta,
-                                      overrides=_overrides_from(args))
-        verdict, report = test_uniformity(config, stream, SeededRng(args.seed))
+    with _open_lines(args.samples) as lines:
+        stream = stream_from_lines(lines)
+        if args.baseline == "collision-count":
+            verdict, report = collision_count_baseline(args.n, args.m, stream)
+        else:
+            config = UniformityTestConfig(n=args.n, m=args.m, delta=args.delta,
+                                          overrides=_overrides_from(args))
+            verdict, report = test_uniformity(config, stream, SeededRng(args.seed))
     _emit({"verdict": verdict.outcome, "branch": report.branch,
            "samples_requested": report.samples_requested,
            "samples_consumed": report.samples_consumed,
@@ -74,10 +76,10 @@ def _cmd_track(args: argparse.Namespace) -> int:
     state = tracker_new(args.n, args.delta, SeededRng(args.seed),
                         overrides=_overrides_from(args),
                         max_stage=args.max_stage)
-    stream = SymbolStream(_read_symbol_lines(args.stream))
     exhausted = False
     try:
-        tracker_run(state, stream)
+        with _open_lines(args.stream) as lines:
+            tracker_run(state, stream_from_lines(lines))
     except StreamExhausted:
         exhausted = True
     finally:
@@ -94,10 +96,8 @@ def _cmd_track(args: argparse.Namespace) -> int:
 
 def _cmd_interval_test(args: argparse.Namespace) -> int:
     params = derive_interval_params(args.mu, args.eps, args.delta)
-    samples = _read_symbol_lines(args.samples)
-    if samples.size > params.m:
-        samples = samples[:params.m]
-    verdict = run_interval_tester(params, samples)
+    with _open_lines(args.samples) as lines:
+        verdict = run_interval_tester(params, stream_from_lines(lines).take(params.m))
     _emit({"verdict": verdict.outcome,
            "params": {"mu": params.mu, "tau": params.tau,
                       "x_max": params.x_max, "m": params.m},
@@ -139,27 +139,20 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 # The JSON types each key of a simulate config may hold, object by object
-# (the params are checked as ExperimentConfig checks them); a null leaves
-# the key at its default.
+# (the family and the params are checked as DistributionFamilySpec and
+# ExperimentConfig check them); a null leaves the key at its default.
 _CONFIG_SCHEMA = {"tester": "a string", "family": "an object", "trials": "an integer",
                   "seed": "an integer", "params": "an object or null"}
-_FAMILY_SCHEMA = {"family": "a string", "n": "an integer", "seed": "an integer",
-                  "probs": "an array or null", **dict.fromkeys(
-                      ("beta", "fraction", "mass_split", "support_split"), "a number or null")}
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     with open(args.config, encoding="utf-8") as handle:
         raw = _check_object("config", json.load(handle), _CONFIG_SCHEMA)
-    family_raw = dict(_check_object("config.family", raw["family"], _FAMILY_SCHEMA))
-    if family_raw.get("probs") is not None:
-        for index, prob in enumerate(family_raw["probs"]):
-            _check_type(f"config.family.probs[{index}]", prob, "a number")
-        family_raw["probs"] = tuple(family_raw["probs"])
+    family = _check_object("config.family", raw["family"], _FAMILY_SCHEMA)
     params = _check_tester_params("config.params", raw.get("params") or {})
     config = ExperimentConfig(
         tester=raw["tester"],
-        family=DistributionFamilySpec(**family_raw),
+        family=DistributionFamilySpec(**family),
         trials=args.trials if args.trials is not None else raw["trials"],
         seed=args.seed if args.seed is not None else raw["seed"],
         tester_params=params)

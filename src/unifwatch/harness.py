@@ -29,13 +29,16 @@ TESTERS = ("uniformity", "tracker", "baseline")
 
 WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 
-# The JSON types each key of the tester params may hold; a null leaves the
-# key at its default.  The CLI checks the rest of a simulate config with the
-# same helpers.
+# The JSON types each key of the tester params and of a family may hold; a
+# null leaves the key at its default.  The CLI checks the rest of a simulate
+# config with the same helpers.
 _JSON_TYPES = {"an integer": (int,), "a number": (int, float), "a string": (str,),
-               "an array": (list,), "an object": (dict,), "null": (type(None),)}
+               "an array": (list, tuple), "an object": (dict,), "null": (type(None),)}
 _PARAMS_SCHEMA = {"m": "an integer", "delta": "a number", "overrides": "an object or null",
                   **dict.fromkeys(("max_stage", "max_samples"), "an integer or null")}
+_FAMILY_SCHEMA = {"family": "a string", "n": "an integer", "seed": "an integer",
+                  "probs": "an array or null", **dict.fromkeys(
+                      ("beta", "fraction", "mass_split", "support_split"), "a number or null")}
 _OVERRIDES_SCHEMA = {"tau": "a number or null",
                      **dict.fromkeys(("r", "s", "x_max"), "an integer or null")}
 
@@ -43,7 +46,8 @@ _OVERRIDES_SCHEMA = {"tau": "a number or null",
 def _check_type(where: str, value: Any, kinds: str) -> None:
     allowed = sum((_JSON_TYPES[kind] for kind in kinds.split(" or ")), ())
     if isinstance(value, bool) or not isinstance(value, allowed):
-        raise ValueError(f"{where} must be {kinds}, got {json.dumps(value)[:40]}")
+        raise ValueError(f"{where} must be {kinds}, "
+                         f"got {json.dumps(value, default=repr)[:40]}")
 
 
 def _check_object(where: str, value: Any, schema: dict) -> dict:
@@ -90,7 +94,9 @@ class DistributionFamilySpec:
 
     seed only matters for families with internal randomness (the subset
     choice in uniform_subset); it is independent of trial seeds so every
-    trial of an experiment sees the same distribution.
+    trial of an experiment sees the same distribution.  Every field holds
+    its JSON type only, and probs numbers only (stored as a tuple); a field
+    of the wrong type raises ValueError naming it.
     """
 
     family: str
@@ -103,6 +109,11 @@ class DistributionFamilySpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_object("family", vars(self), _FAMILY_SCHEMA)
+        if self.probs is not None:
+            for index, prob in enumerate(self.probs):
+                _check_type(f"family.probs[{index}]", prob, "a number")
+            object.__setattr__(self, "probs", tuple(self.probs))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.n < 1:

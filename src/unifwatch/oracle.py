@@ -56,14 +56,6 @@ class ThresholdSetStructure:
     b: int | None = None
 
 
-def _truncation_cutoff(rates: list[float], tol: float) -> int:
-    # Conservative Poisson upper tail: P[Z >= 2*rate + 6*ln(1/d)] <= d.
-    # Cutting at the worst rate with d = tol/4 leaves each distribution at
-    # most tol/4 of mass beyond the window.
-    worst = max(rates)
-    return int(math.ceil(2.0 * worst + 6.0 * math.log(4.0 / tol))) + 1
-
-
 def _pmf_tables(mu: float, mix: PoissonMixture, cutoff: int
                 ) -> tuple[list[float], list[float]]:
     poi = [math.exp(poisson_log_pmf(mu, x)) for x in range(cutoff + 1)]
@@ -81,6 +73,26 @@ def _validated(mu: float, tol: float) -> tuple[float, float]:
     return mu, tol
 
 
+def _certified_tables(mu: float, mix: PoissonMixture, tol: float
+                      ) -> tuple[list[float], list[float], TruncationWindow]:
+    """Both PMF tables up to a cutoff that leaves at most tol of mass out.
+
+    Conservative Poisson upper tail: P[Z >= 2*rate + 6*ln(1/d)] <= d.
+    Cutting at the worst rate with d = tol/4 leaves each distribution at
+    most tol/4 of mass beyond the window; the mass the tables miss is
+    measured, and above tol raises StructureViolationError.
+    """
+    mu, tol = _validated(mu, tol)
+    worst = max([mu] + mix.rates.tolist())
+    cutoff = int(math.ceil(2.0 * worst + 6.0 * math.log(4.0 / tol))) + 1
+    poi, mixture = _pmf_tables(mu, mix, cutoff)
+    tail = max(0.0, 1.0 - math.fsum(poi)) + max(0.0, 1.0 - math.fsum(mixture))
+    if tail > tol:
+        raise StructureViolationError(
+            f"truncation certificate failed: leftover mass {tail} > tol {tol}")
+    return poi, mixture, TruncationWindow(cutoff=cutoff, tail_bound=tail)
+
+
 def exact_hellinger_poisson_vs_mixture(mu: float, mix: PoissonMixture,
                                        tol: float = 1e-9
                                        ) -> tuple[float, TruncationWindow]:
@@ -89,31 +101,18 @@ def exact_hellinger_poisson_vs_mixture(mu: float, mix: PoissonMixture,
     The integrand tail is bounded by the leftover masses, so the certificate
     window guarantees |error| <= tail_bound <= tol.
     """
-    mu, tol = _validated(mu, tol)
-    cutoff = _truncation_cutoff([mu] + mix.rates.tolist(), tol)
-    poi, mixture = _pmf_tables(mu, mix, cutoff)
+    poi, mixture, window = _certified_tables(mu, mix, tol)
     value = math.fsum((math.sqrt(p) - math.sqrt(q)) ** 2
                       for p, q in zip(poi, mixture))
-    tail = max(0.0, 1.0 - math.fsum(poi)) + max(0.0, 1.0 - math.fsum(mixture))
-    if tail > tol:
-        raise StructureViolationError(
-            f"truncation certificate failed: leftover mass {tail} > tol {tol}")
-    return min(value, 2.0), TruncationWindow(cutoff=cutoff, tail_bound=tail)
+    return min(value, 2.0), window
 
 
 def exact_tv_poisson_vs_mixture(mu: float, mix: PoissonMixture,
                                 tol: float = 1e-9
                                 ) -> tuple[float, TruncationWindow]:
     """Total variation distance between Poi(mu) and the mixture, to within tol."""
-    mu, tol = _validated(mu, tol)
-    cutoff = _truncation_cutoff([mu] + mix.rates.tolist(), tol)
-    poi, mixture = _pmf_tables(mu, mix, cutoff)
-    value = 0.5 * math.fsum(abs(p - q) for p, q in zip(poi, mixture))
-    tail = max(0.0, 1.0 - math.fsum(poi)) + max(0.0, 1.0 - math.fsum(mixture))
-    if tail > tol:
-        raise StructureViolationError(
-            f"truncation certificate failed: leftover mass {tail} > tol {tol}")
-    return min(value, 1.0), TruncationWindow(cutoff=cutoff, tail_bound=tail)
+    poi, mixture, window = _certified_tables(mu, mix, tol)
+    return min(0.5 * math.fsum(abs(p - q) for p, q in zip(poi, mixture)), 1.0), window
 
 
 def best_interval(mu: float, mix: PoissonMixture, x_max: int) -> BestInterval:

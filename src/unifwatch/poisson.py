@@ -20,6 +20,7 @@ in the same state.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -177,18 +178,14 @@ class SymbolStream:
             return np.empty(0, dtype=np.int64)
         if self._sampler is not None:
             block = np.asarray(self._sampler(k))
-            if block.size != k:
-                raise StreamExhausted(f"sampler returned {block.size} of {k} symbols")
-            if not np.issubdtype(block.dtype, np.integer):
-                raise ValueError(f"symbols must be integers, got dtype {block.dtype}")
-            block = block.astype(np.int64, copy=False)
         else:
             block = self._symbols[self.consumed:self.consumed + k]
-            if block.size < k:
-                raise StreamExhausted(
-                    f"stream exhausted after {block.size} of {k} symbols")
+        if block.size != k:
+            raise StreamExhausted(f"stream exhausted after {block.size} of {k} symbols")
+        if block.dtype.kind not in "iu":
+            raise ValueError(f"symbols must be integers, got dtype {block.dtype}")
         self.consumed += k
-        return block
+        return block.astype(np.int64, copy=False)
 
 
 # A non-uniform stream maps the doubles of a take to symbols at most
@@ -285,7 +282,14 @@ def read_frequency_vector(path) -> np.ndarray:
     return validate_frequency_vector(np.asarray(values, dtype=np.int64))
 
 
-def read_symbols(lines: Iterable[str]) -> np.ndarray:
-    """Parse newline-delimited 1-based symbols from text lines."""
-    values = [int(line) for line in lines if line.strip()]
-    return np.asarray(values, dtype=np.int64)
+def stream_from_lines(lines: Iterable[str]) -> SymbolStream:
+    """Stream of the decimal symbols on non-blank text lines, parsed lazily.
+
+    A take of k parses the next k non-blank lines and reads no line past
+    them, so a caller reads only as much of a file or of stdin as it takes.
+    A line that is not a decimal integer raises ValueError at the take that
+    reaches it.
+    """
+    symbols = map(int, filter(str.strip, lines))
+    return SymbolStream(lambda k: np.fromiter(itertools.islice(symbols, k),
+                                              dtype=np.int64))

@@ -11,6 +11,10 @@ geometric sum over later stages.
 Each stage runs one UniformityTestConfig, built as the stage starts.  It
 fixes the samples the stage pre-reserves before resolving, so the samples
 consumed by a run are a deterministic function of the seed.
+
+tracker_feed is the one feed path: it takes one symbol or a block.
+tracker_run takes each stage's remaining reserve from a stream in one read
+and feeds it to tracker_feed as a block.
 """
 
 from __future__ import annotations
@@ -98,72 +102,80 @@ def tracker_new(n: int, delta: float, seed: int | SeededRng,
                         overrides=dict(overrides or {}), max_stage=max_stage)
 
 
-def _resolve_stage(state: TrackerState, buffered: np.ndarray) -> str:
-    """Run the stage tester on the reserved buffer and advance or stop."""
-    config = state.config
-    verdict, report = test_uniformity(config, SymbolStream(buffered),
-                                      state.rng.child(state.stage))
-    state.history.append(StageRecord(
-        stage=state.stage, m=config.m, stage_delta=config.delta,
-        branch=report.branch, outcome=verdict.outcome, samples=buffered.size))
-    if verdict.outcome == REJECT:
-        state.status = REJECTED
-        return REJECTED
-    # accept and budget_exceeded both advance; the latter burned its stage's
-    # failure budget without evidence either way.
-    if state.max_stage is not None and state.stage + 1 > state.max_stage:
-        state.status = BUDGET_EXHAUSTED
-        return BUDGET_EXHAUSTED
-    state.stage += 1
-    state._plan_stage()
-    return PLAUSIBLE
-
-
-def tracker_feed(state: TrackerState, symbol: int) -> str:
-    """Feed one symbol; returns plausible, reject, or budget_exhausted.
+def tracker_feed(state: TrackerState, symbols) -> str:
+    """Feed one symbol or a 1-D integer block; returns plausible, reject, or
+    budget_exhausted.
 
     Terminal states are sticky: feeding after reject or budget exhaustion
-    raises.  A symbol that is not an integer is refused, not truncated.
-    Symbols buffer until the current stage's reserve is full, then the
-    stage resolves in one shot.
+    raises.  A symbol that is not an integer is refused, not truncated; a
+    block is checked whole before any of it is used.  Symbols buffer until
+    the current stage's reserve is full, then the stage resolves in one
+    shot.  A block resolves each stage it completes, in order, and stops at
+    the first terminal status, charging none of its symbols past it.
     """
     if state.status != PLAUSIBLE:
         raise RuntimeError(f"tracker is terminal ({state.status}); no further input")
     try:
-        symbol = operator.index(symbol)
+        symbol = operator.index(symbols)
     except TypeError:
-        raise ValueError(f"symbol {symbol!r} is not an integer") from None
-    if not 1 <= symbol <= state.n:
-        raise ValueError(f"symbol {symbol} out of range 1..{state.n}")
-    state._buffer.append(symbol)
-    state.cumulative_samples += 1
-    if len(state._buffer) < state.config.samples_reserved:
-        return PLAUSIBLE
-    buffered = np.asarray(state._buffer, dtype=np.int64)
-    state._buffer = []
-    return _resolve_stage(state, buffered)
+        block = np.asarray(symbols)
+        if block.ndim != 1 or (block.size and block.dtype.kind not in "iu"):
+            raise ValueError(f"symbol {symbols!r} is not an integer "
+                             "or a 1-D integer block") from None
+        if block.size and (block.min() < 1 or block.max() > state.n):
+            raise ValueError(f"symbol out of range 1..{state.n}") from None
+    else:
+        if not 1 <= symbol <= state.n:
+            raise ValueError(f"symbol {symbol} out of range 1..{state.n}")
+        state._buffer.append(symbol)
+        state.cumulative_samples += 1
+        if len(state._buffer) < state.config.samples_reserved:
+            return PLAUSIBLE
+        block = np.empty(0, dtype=np.int64)
+    while True:
+        config = state.config
+        need = config.samples_reserved - len(state._buffer)
+        stage_block, block = block[:need], block[need:]
+        state.cumulative_samples += stage_block.size
+        if stage_block.size < need:
+            state._buffer += stage_block.tolist()
+            return PLAUSIBLE
+        if state._buffer:
+            # The buffer becomes an array once; the symbol that filled it
+            # (need == 0) hands it over with no join.
+            buffered = np.asarray(state._buffer, dtype=np.int64)
+            stage_block = np.concatenate([buffered, stage_block]) if need else buffered
+            state._buffer = []
+        verdict, report = test_uniformity(config, SymbolStream(stage_block),
+                                          state.rng.child(state.stage))
+        state.history.append(StageRecord(
+            stage=state.stage, m=config.m, stage_delta=config.delta,
+            branch=report.branch, outcome=verdict.outcome,
+            samples=stage_block.size))
+        if verdict.outcome == REJECT:
+            state.status = REJECTED
+            return REJECTED
+        # accept and budget_exceeded both advance; the latter burned its
+        # stage's failure budget without evidence either way.
+        if state.max_stage is not None and state.stage + 1 > state.max_stage:
+            state.status = BUDGET_EXHAUSTED
+            return BUDGET_EXHAUSTED
+        state.stage += 1
+        state._plan_stage()
 
 
 def tracker_run(state: TrackerState, stream: SymbolStream,
                 max_samples: int | None = None) -> str:
     """Drive a tracker from a stream with block reads until it stops.
 
-    Equivalent to feeding symbol by symbol, but reserves each stage's target
-    in one take().  Stops on reject, budget exhaustion, or after consuming
-    max_samples (returning the current status, still plausible).
+    Equivalent to feeding symbol by symbol: each stage's remaining target is
+    one take(), fed to tracker_feed as a block.  Stops on reject, budget
+    exhaustion, or before a take that would pass max_samples (returning the
+    current status, still plausible).  A short take charges nothing.
     """
     while state.status == PLAUSIBLE:
         need = state.config.samples_reserved - len(state._buffer)
         if max_samples is not None and state.cumulative_samples + need > max_samples:
-            return state.status
-        block = stream.take(need)
-        if block.size and (block.min() < 1 or block.max() > state.n):
-            raise ValueError(f"symbol out of range 1..{state.n}")
-        state.cumulative_samples += int(block.size)
-        if state._buffer:
-            block = np.concatenate([np.asarray(state._buffer, dtype=np.int64), block])
-            state._buffer = []
-        outcome = _resolve_stage(state, block)
-        if outcome != PLAUSIBLE:
-            return outcome
+            break
+        tracker_feed(state, stream.take(need))
     return state.status

@@ -264,8 +264,19 @@ def experiment_case(tester, family, n, trials, seed, tester_params, **params):
     return run
 
 
+def _cli(argv, flag, values, args):
+    """Exit code and output of one subcommand reading values from a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "symbols.txt"
+        path.write_text("".join(f"{int(v)}\n" for v in values))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main([*argv, flag, str(path), *args])
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
 def cli_case(command, family, n, seed, length, args, bad_at=None, **params):
-    """Exit code and output of one subcommand over a file of drawn symbols.
+    """One subcommand over a file of drawn symbols.
 
     bad_at puts the out-of-range symbol n + 1 at that position.
     """
@@ -274,13 +285,16 @@ def cli_case(command, family, n, seed, length, args, bad_at=None, **params):
         if bad_at is not None:
             symbols[bad_at] = n + 1
         flag = "--samples" if command == "test" else "--stream"
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "symbols.txt"
-            path.write_text("".join(f"{int(v)}\n" for v in symbols))
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli_main([command, "--n", str(n), flag, str(path), *args])
-        return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+        return _cli([command, "--n", str(n)], flag, symbols, args)
+    return run
+
+
+def cli_interval_case(mu, eps, delta, rate, seed, length):
+    """interval-test over a file of `length` Poisson(rate) counts."""
+    def run():
+        counts = SeededRng(seed).generator.poisson(rate, size=length)
+        return _cli(["interval-test", "--mu", str(mu), "--eps", str(eps),
+                     "--delta", str(delta)], "--samples", counts, [])
     return run
 
 
@@ -405,6 +419,10 @@ CASES = {
     "cli_track_reject": cli_case("track", "heavy_element", 64, 1260, 20_000,
                                  ["--delta", "0.2", "--seed", "7", "--r", "8"],
                                  beta=0.5),
+    # a file far longer than what its tester reads
+    "cli_track_long_reject": cli_case("track", "heavy_element", 64, 1280, 200_000,
+                                      ["--delta", "0.2", "--seed", "8"], beta=0.5),
+    "cli_interval_long": cli_interval_case(1.0, 2.0, 0.5, 1.6, 1290, 20_000),
     # non-uniform stream symbols, block by block
     **{f"stream_{tag}_{n}": stream_case(family, n, 1300 + n, **params)
        for n in (64, 1000) for tag, (family, params) in STREAM_FAMILIES.items()},

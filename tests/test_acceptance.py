@@ -173,13 +173,8 @@ def test_a4_full_tester_completeness_at_derived_r():
           time.perf_counter() - start, 300.0)
 
 
-def test_a5_full_tester_soundness():
-    """Same tester rejects a heavy-element rate profile it provably must.
-
-    The distinguishability precondition is certified first: a Monte Carlo
-    lower bound on the total variation between the null and alternative
-    frequency laws (max-count statistic) must clear 0.5.
-    """
+def _a5_soundness(tag: str, params) -> None:
+    """A5's heavy-element rejects at params, after its TV certificate."""
     start = time.perf_counter()
     n, mu, beta = 64, 2.0, 0.5
     m_prime = int(n * mu)
@@ -189,7 +184,6 @@ def test_a5_full_tester_soundness():
         lambda gen: float(gen.poisson(null_rates).max()),
         lambda gen: float(gen.poisson(alt_rates).max()),
         trials=2_000, rng=SeededRng(24_000))
-    params = derive_full_params(n, mu, 0.05, r=512)
     trials = 200
     rejects = 0
     for t in range(trials):
@@ -198,9 +192,30 @@ def test_a5_full_tester_soundness():
         rejects += verdict.outcome == REJECT
     rate = rejects / trials
     ok = cert >= 0.5 and rate >= 0.95 - 0.05
-    _gate("A5", ok,
-          f"beta=0.5 tv_lower_bound={cert:.3f} (need 0.5) reject={rate:.3f} (floor 0.90)",
+    _gate(tag, ok,
+          f"beta=0.5 r={params.r} s={params.s} tv_lower_bound={cert:.3f} (need 0.5) "
+          f"reject={rate:.3f} (floor 0.90)",
           time.perf_counter() - start, 600.0)
+
+
+def test_a5_full_tester_soundness():
+    """Same tester rejects a heavy-element rate profile it provably must.
+
+    The distinguishability precondition is certified first: a Monte Carlo
+    lower bound on the total variation between the null and alternative
+    frequency laws (max-count statistic) must clear 0.5.
+    """
+    _a5_soundness("A5", derive_full_params(64, 2.0, 0.05, r=512))
+
+
+def test_a5_full_tester_soundness_at_derived_r():
+    """A5 at the derived operating point: r = 7,855, s = 7,357, no override.
+
+    Same seeds, trial count, certificate and floor as A5.
+    """
+    params = derive_full_params(64, 2.0, 0.05)
+    assert (params.r, params.s) == (7855, 7357)
+    _a5_soundness("A5 derived", params)
 
 
 def test_a6_poisson_split_fidelity():

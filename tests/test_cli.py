@@ -130,6 +130,70 @@ def test_track_subcommand_reports_exhaustion(tmp_path, capsys):
     assert summary["stages_resolved"] == 0
 
 
+class BoundedLines:
+    """Endless stdin of one line that fails the test past `limit` reads."""
+
+    def __init__(self, line: str, limit: int):
+        self.line, self.limit, self.read = line, limit, 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        self.read += 1
+        assert self.read <= self.limit, f"read line {self.read} of {self.limit}"
+        return self.line
+
+
+def test_track_and_test_read_only_what_they_take(capsys, monkeypatch):
+    """A point mass at n = 64 rejects at stage 1 after 503 symbols; track
+    reads no line past them from an endless stdin, and test reads exactly
+    the samples it requests."""
+    stdin = BoundedLines("7\n", 503)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, _ = run_cli(capsys, ["track", "--n", "64", "--delta", "0.2"])
+    assert code == 0
+    summary = last_json(out)
+    assert summary["status"] == "reject"
+    assert summary["stages_resolved"] == 2
+    assert summary["samples_consumed"] == stdin.read == 503
+
+    requested = 2 * 145  # g = 145 groups at delta = 0.1, m = 2
+    stdin = BoundedLines("7\n", requested)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, _ = run_cli(capsys, ["test", "--n", "64", "--m", "2",
+                                    "--delta", "0.1"])
+    assert code == 0
+    record = last_json(out)
+    assert record["verdict"] == "reject"
+    assert record["samples_requested"] == stdin.read == requested
+
+
+def test_track_malformed_line_before_and_after_the_stop(capsys, monkeypatch):
+    """A malformed line past the reject is never read; one inside stage 1
+    stops the run after stage 0 prints."""
+    good = ["7\n"] * 503
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(good) + "oops\n"))
+    code, out, err = run_cli(capsys, ["track", "--n", "64", "--delta", "0.2"])
+    assert (code, err) == (0, "")
+    assert last_json(out)["status"] == "reject"
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(good[:200]) + "oops\n"))
+    code, out, err = run_cli(capsys, ["track", "--n", "64", "--delta", "0.2"])
+    assert code == 2
+    assert "oops" in err
+    assert out.startswith("stage=0 m=1 branch=collision outcome=accept samples=145")
+    assert len(out.splitlines()) == 1
+
+
+def test_interval_test_with_too_few_counts_exits_2(tmp_path, capsys):
+    samples = tmp_path / "counts.txt"
+    write_lines(samples, [1] * 100)
+    code, out, err = run_cli(capsys, ["interval-test", "--mu", "1", "--eps", "2",
+                                      "--delta", "0.5", "--samples", str(samples)])
+    assert (code, out) == (2, "")
+    assert err == "error: stream exhausted after 100 of 1700 symbols\n"
+
+
 def test_interval_test_subcommand_truncates_and_echoes_params(tmp_path, capsys):
     params = derive_interval_params(1.0, 2.0, 0.5)
     draws = SeededRng(81).generator.poisson(1.0, size=params.m + 50)

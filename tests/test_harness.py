@@ -52,11 +52,15 @@ def test_two_level_and_explicit_families():
 
 
 def test_explicit_family_needs_one_probability_per_symbol():
-    """A 2-point source on a domain of 16 is refused, not tested as 16 symbols."""
-    for probs in [(0.5, 0.5), (1 / 32,) * 32, ((0.25, 0.25), (0.25, 0.25))]:
+    """A 2-point source on a domain of 16 is refused, not tested as 16 symbols;
+    a nested entry is not a number, so the spec itself refuses it."""
+    for probs in [(0.5, 0.5), (1 / 32,) * 32]:
         with pytest.raises(ValueError, match="explicit family needs"):
             realize_family(DistributionFamilySpec(family="explicit", n=16,
                                                   probs=probs))
+    with pytest.raises(ValueError, match=r"family\.probs\[0\] must be a number"):
+        DistributionFamilySpec(family="explicit", n=16,
+                               probs=((0.25, 0.25), (0.25, 0.25)))
 
 
 def test_explicit_family_with_slack_negative_entry_runs_a_trial():
@@ -71,10 +75,19 @@ def test_explicit_family_with_slack_negative_entry_runs_a_trial():
 
 
 def test_family_validation():
-    """Bad families are refused, and so are tester params of the wrong JSON
-    type: an m of 6.9 is not read as 6."""
+    """Bad families are refused, and so are family fields and tester params
+    of the wrong JSON type: an m of 6.9 is not read as 6."""
     with pytest.raises(ValueError):
         DistributionFamilySpec(family="bogus", n=4)
+    # a library caller's spec holds JSON types, as a simulate config must:
+    # string probabilities are not converted, nor is a string beta passed on
+    with pytest.raises(ValueError, match=r"family\.probs\[0\] must be a number"):
+        DistributionFamilySpec(family="explicit", n=2, probs=("0.5", "0.5"))
+    with pytest.raises(ValueError, match=r"family\.beta must be a number or null"):
+        DistributionFamilySpec(family="heavy_element", n=4, beta="0.5")
+    # a value JSON cannot print is named too, not a TypeError from the message
+    with pytest.raises(ValueError, match=r"family\.n must be an integer, got \"np\.int64"):
+        DistributionFamilySpec(family="uniform", n=np.int64(4))
     with pytest.raises(ValueError, match=r"tester_params\.m must be an integer"):
         ExperimentConfig(tester="uniformity",
                          family=DistributionFamilySpec(family="uniform", n=4),

@@ -15,7 +15,7 @@ from scipy import stats
 
 from unifwatch import (DiscreteDistribution, SeededRng, StreamExhausted,
                        SymbolStream, poissonize, read_frequency_vector,
-                       read_symbols, stream_from_distribution)
+                       stream_from_distribution, stream_from_lines)
 from unifwatch import poisson
 from unifwatch.poisson import poisson_split, validate_frequency_vector
 
@@ -302,7 +302,8 @@ def test_symbol_stream_exact_take_and_exhaustion():
     assert stream.take(2).tolist() == [1, 2]
     assert stream.consumed == 2
     assert stream.take(0).size == 0
-    with pytest.raises(StreamExhausted):
+    with pytest.raises(StreamExhausted,
+                       match=r"^stream exhausted after 3 of 10 symbols$"):
         stream.take(10)
 
 
@@ -424,4 +425,28 @@ def test_file_round_trips(tmp_path):
     freq_path = tmp_path / "freq.txt"
     freq_path.write_text("3\n0\n17\n")
     assert read_frequency_vector(freq_path).tolist() == [3, 0, 17]
-    assert read_symbols(["5\n", "\n", "2\n"]).tolist() == [5, 2]
+    assert stream_from_lines(["5\n", "\n", "2\n"]).take(2).tolist() == [5, 2]
+
+
+def test_stream_from_lines_reads_only_what_it_takes():
+    """A take of k parses the next k non-blank lines and reads none past them."""
+    read = []
+
+    def lines():
+        for line in ["3\n", " \n", "1\n", "4\n", "oops\n"]:
+            read.append(line)
+            yield line
+
+    stream = stream_from_lines(lines())
+    assert stream.take(2).tolist() == [3, 1]
+    assert read == ["3\n", " \n", "1\n"]
+    assert stream.take(1).tolist() == [4]
+    assert stream.consumed == 3 and len(read) == 4
+    # a malformed line fails the take that reaches it
+    with pytest.raises(ValueError, match="oops"):
+        stream.take(1)
+    short = stream_from_lines(["7\n", "8\n"])
+    with pytest.raises(StreamExhausted,
+                       match=r"^stream exhausted after 2 of 5 symbols$"):
+        short.take(5)
+    assert short.consumed == 0

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unifwatch import tracker, uniformity_tester
@@ -159,6 +159,55 @@ def test_feed_and_run_agree_for_any_chunking(seed, support, length, cuts):
     assert mixed.status == fed.status
     assert mixed.cumulative_samples == fed.cumulative_samples
     assert mixed.history == fed.history
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), support=st.integers(1, 16),
+       cuts=st.lists(st.integers(0, 520), max_size=6),
+       singles=st.lists(st.booleans(), max_size=7))
+@example(seed=0, support=1, cuts=[], singles=[])
+@example(seed=1, support=1, cuts=[100, 200, 510], singles=[False, True])
+@example(seed=2, support=16, cuts=[300], singles=[])
+def test_block_feeds_agree_with_run(seed, support, cuts, singles):
+    """Any cut of a stream into tracker_feed blocks resolves like tracker_run.
+
+    n = 16, max_stage = 1: stage targets 145 and 358, so 520 symbols always
+    end the run at 503 with a reject (small support) or budget exhaustion.
+    A block may span both stages, end mid-stage or run past the stop; the
+    chunks flagged in singles are fed one symbol at a time instead, so a
+    block may also meet a part-filled buffer.  Symbols past the stop are
+    not charged.
+    """
+    symbols = SeededRng(seed).generator.integers(1, support + 1, size=520)
+    ran = tracker_new(n=16, delta=0.2, seed=seed, max_stage=1)
+    tracker_run(ran, SymbolStream(symbols))
+    fed = tracker_new(n=16, delta=0.2, seed=seed, max_stage=1)
+    edges = sorted({0, 520, *cuts})
+    for index, (start, stop) in enumerate(zip(edges, edges[1:])):
+        if fed.status != PLAUSIBLE:
+            break
+        if index < len(singles) and singles[index]:
+            for symbol in symbols[start:stop]:
+                if tracker_feed(fed, int(symbol)) != PLAUSIBLE:
+                    break
+        else:
+            tracker_feed(fed, symbols[start:stop])
+    assert ran.status in (REJECTED, BUDGET_EXHAUSTED)
+    assert fed.status == ran.status
+    assert fed.history == ran.history
+    assert fed.cumulative_samples == ran.cumulative_samples == 503
+
+
+def test_feed_checks_a_block_before_using_it():
+    """A bad block is refused whole: nothing is buffered, charged or resolved."""
+    state = tracker_new(n=10, delta=0.2, seed=1)
+    for block in ([3] * 144 + [11], np.array([[1, 2]]), np.array([1.0, 2.0])):
+        with pytest.raises(ValueError):
+            tracker_feed(state, block)
+    assert (state.cumulative_samples, state._buffer, state.history) == (0, [], [])
+    assert tracker_feed(state, np.array([3] * 150)) == PLAUSIBLE
+    assert (state.cumulative_samples, len(state._buffer)) == (150, 5)
+    assert [rec.samples for rec in state.history] == [145]
 
 
 def test_feed_derives_each_stage_target_once(monkeypatch):
