@@ -59,8 +59,7 @@ class DiscreteDistribution:
 
     @classmethod
     def uniform(cls, n: int) -> "DiscreteDistribution":
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        n = check_integer(n, "n", 1)
         return cls(np.full(n, 1.0 / n))
 
 
@@ -83,15 +82,37 @@ class PoissonMixture:
         return int(self.rates.size)
 
 
-def _check_count(x) -> int:
-    if isinstance(x, (bool, np.bool_)):
-        raise ValueError("count must be an integer, not bool")
-    if not isinstance(x, (int, np.integer)):
-        raise ValueError(f"count must be an integer, got {type(x).__name__}")
-    x = int(x)
-    if x < 0:
-        raise ValueError(f"count must be nonnegative, got {x}")
-    return x
+def check_integer(value, name: str, low: int) -> int:
+    """value as an int, once it is a Python or numpy integer, not a bool,
+    and at least low.  Anything else raises ValueError naming it: a float is
+    refused, never truncated."""
+    # np.bool_ is neither an int nor an np.integer
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
+def check_integers(values, name: str, low: int | None = None,
+                   high: int | None = None) -> np.ndarray:
+    """values as a 1-D int64 array, once they are a 1-D array of integers
+    (or empty) within [low, high].  name is one element's noun ("symbol",
+    "count"); min and max are computed only for a bound that is given, and
+    high is given only with low.
+    """
+    array = np.asarray(values)
+    if array.ndim != 1:
+        raise ValueError(f"{name} array must be 1-D, got shape {array.shape}")
+    if array.size and array.dtype.kind not in "iu":
+        raise ValueError(f"{name} array must hold integers, got dtype {array.dtype}")
+    array = array.astype(np.int64, copy=False)
+    if array.size and high is not None:
+        if array.min() < low or array.max() > high:
+            raise ValueError(f"{name} out of range {low}..{high}")
+    elif array.size and low is not None and array.min() < low:
+        raise ValueError(f"{name} must be >= {low}, got {array.min()}")
+    return array
 
 
 def _check_rate(rate: float) -> float:
@@ -107,7 +128,7 @@ def poisson_log_pmf(rate: float, x: int) -> float:
     rate = 0 is the point mass at 0: returns 0.0 at x = 0 and -inf elsewhere.
     """
     rate = _check_rate(rate)
-    x = _check_count(x)
+    x = check_integer(x, "x", 0)
     if rate == 0.0:
         return 0.0 if x == 0 else -math.inf
     return -rate + x * math.log(rate) - math.lgamma(x + 1)
@@ -119,7 +140,7 @@ def mixture_pmf(mix: PoissonMixture, x: int) -> float:
     Each component is evaluated via poisson_log_pmf then exponentiated;
     log-PMFs are <= 0 so the exponentials never overflow.
     """
-    x = _check_count(x)
+    x = check_integer(x, "x", 0)
     terms = [math.exp(poisson_log_pmf(r, x)) for r in mix.rates.tolist()]
     return math.fsum(terms) / mix.k
 
@@ -132,7 +153,7 @@ def log_pmf_ratio(mix: PoissonMixture, mu: float, x: int) -> float:
     has zero mass at x.  Signals if mu = 0 and x > 0 (zero denominator).
     """
     mu = _check_rate(mu)
-    x = _check_count(x)
+    x = check_integer(x, "x", 0)
     if mu == 0.0:
         if x > 0:
             raise ValueError("pmf ratio undefined: Poi(0) has zero mass at x > 0")

@@ -60,7 +60,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distances import hellinger_sq_bernoulli_bounds
+from .distances import check_integer, hellinger_sq_bernoulli_bounds
 from .interval_tester import (ACCEPT, REJECT, Verdict, first_violation,
                               interval_mass_matrix, poisson_pmf_table)
 from .poisson import (SPLIT_CHUNK, SeededRng, poisson_split,
@@ -79,7 +79,9 @@ BATCH_COUNTS = 1 << 16
 
 @dataclass(frozen=True)
 class FullTesterParams:
-    """Operating point: split factor s, repeats r, ceiling x_max, threshold tau."""
+    """Operating point: split factor s, repeats r, ceiling x_max, threshold tau.
+
+    n, s, r and x_max are stored as ints; a float or bool is refused."""
 
     n: int
     mu: float
@@ -89,12 +91,12 @@ class FullTesterParams:
     x_max: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
+        for name, low in (("n", 2), ("s", 1), ("r", 1), ("x_max", 0)):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name, low))
         if not math.isfinite(self.mu) or self.mu < 0:
             raise ValueError(f"mu must be finite and nonnegative, got {self.mu}")
-        if self.tau <= 0 or self.s < 1 or self.r < 1 or self.x_max < 0:
-            raise ValueError("tau must be > 0, s >= 1, r >= 1, x_max >= 0")
+        if self.tau <= 0:
+            raise ValueError(f"tau must be > 0, got {self.tau}")
 
 
 def derive_full_params(n: int, mu: float, delta: float,
@@ -116,13 +118,13 @@ def derive_full_params(n: int, mu: float, delta: float,
     n*r*(x_max+1)^2 * 2*exp(-s*tau) <= delta/2; overrides that break it are
     rejected.  r dominates runtime and may be overridden downward for
     desk-scale experiments; completeness is unaffected (fewer tests), only
-    the soundness repetition margin shrinks.
+    the soundness repetition margin shrinks.  n and the r, s and x_max
+    overrides are integers, checked by check_integer here and in
+    FullTesterParams: a float or a bool is refused, not truncated.
     """
-    n = int(n)
+    n = check_integer(n, "n", 2)
     mu = float(mu)
     delta = float(delta)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
     if not math.isfinite(mu) or mu < 0:
         raise ValueError(f"mu must be finite and nonnegative, got {mu}")
     if not 0.0 < delta < 1.0:
@@ -139,8 +141,7 @@ def derive_full_params(n: int, mu: float, delta: float,
                          f"x_max={x_max}, tau={tau}")
     if s is None:
         s = math.ceil((1.0 / tau) * math.log(8.0 * (x_max + 1) ** 2 * n * r / delta))
-    params = FullTesterParams(n=n, mu=mu, tau=float(tau), s=int(s), r=int(r),
-                              x_max=int(x_max))
+    params = FullTesterParams(n=n, mu=mu, tau=float(tau), s=s, r=r, x_max=x_max)
     failure = n * params.r * (params.x_max + 1) ** 2 * 2.0 * math.exp(-params.s * params.tau)
     if failure > delta / 2.0:
         raise ValueError(

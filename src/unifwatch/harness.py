@@ -216,7 +216,7 @@ def _run_uniformity_trial(config: ExperimentConfig, dist: DiscreteDistribution,
                           rng: SeededRng) -> tuple[str, str | None, int, dict | None]:
     params = config.tester_params
     test_config = UniformityTestConfig(
-        n=config.family.n, m=int(params["m"]), delta=float(params["delta"]),
+        n=config.family.n, m=params["m"], delta=float(params["delta"]),
         overrides=params.get("overrides") or {})
     stream = stream_from_distribution(dist, rng.child(0))
     verdict, report = test_uniformity(test_config, stream, rng.child(1))
@@ -249,8 +249,7 @@ def _run_baseline_trial(config: ExperimentConfig, dist: DiscreteDistribution,
                         rng: SeededRng) -> tuple[str, str | None, int, dict | None]:
     params = config.tester_params
     stream = stream_from_distribution(dist, rng.child(0))
-    verdict, report = collision_count_baseline(config.family.n,
-                                               int(params["m"]), stream)
+    verdict, report = collision_count_baseline(config.family.n, params["m"], stream)
     return verdict.outcome, report.branch, report.samples_consumed, \
         jsonable(verdict.witness)
 

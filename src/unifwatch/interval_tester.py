@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distances import (hellinger_sq_bernoulli, hellinger_sq_bernoulli_bounds,
-                        poisson_log_pmf)
+from .distances import (check_integer, check_integers, hellinger_sq_bernoulli,
+                        hellinger_sq_bernoulli_bounds, poisson_log_pmf)
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -39,8 +39,8 @@ class IntervalTesterParams:
             raise ValueError(f"mu must be finite and nonnegative, got {self.mu}")
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.x_max < 0 or self.m < 1:
-            raise ValueError("x_max must be >= 0 and m >= 1")
+        check_integer(self.x_max, "x_max", 0)
+        check_integer(self.m, "m", 1)
 
 
 @dataclass(frozen=True)
@@ -141,19 +141,14 @@ def first_violation(prefix: np.ndarray, mu_mass: np.ndarray, threshold: float,
 def run_interval_tester(params: IntervalTesterParams, samples: np.ndarray) -> Verdict:
     """Scan every interval; reject on the first (lexicographic) violation.
 
-    Counts above x_max are ignored (they fall in no interval).  The verdict
-    is a pure function of (params, samples): O(m + x_max^2) time via a
-    prefix-summed histogram and first_violation at threshold tau.
+    samples are m nonnegative integer counts (check_integers).  Counts above
+    x_max are ignored (they fall in no interval).  The verdict is a pure
+    function of (params, samples): O(m + x_max^2) time via a prefix-summed
+    histogram and first_violation at threshold tau.
     """
-    samples = np.asarray(samples)
-    if samples.ndim != 1:
-        raise ValueError("samples must be a 1-D array")
+    samples = check_integers(samples, "sample", 0)
     if samples.size != params.m:
         raise ValueError(f"expected m={params.m} samples, got {samples.size}")
-    if samples.size and not np.issubdtype(samples.dtype, np.integer):
-        raise ValueError("samples must be integers")
-    if samples.size and samples.min() < 0:
-        raise ValueError("samples must be nonnegative")
 
     x_max = params.x_max
     hist = np.bincount(samples[samples <= x_max], minlength=x_max + 1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import (PoissonMixture, StructureViolationError,
+from .distances import (PoissonMixture, StructureViolationError, check_integer,
                         hellinger_sq_bernoulli, log_pmf_ratio, mixture_pmf,
                         poisson_log_pmf)
 
@@ -125,9 +125,7 @@ def best_interval(mu: float, mix: PoissonMixture, x_max: int) -> BestInterval:
     so ties resolve to the lexicographically first (a, b).
     """
     mu, _ = _validated(mu, 1e-9)
-    x_max = int(x_max)
-    if x_max < 0:
-        raise ValueError("x_max must be nonnegative")
+    x_max = check_integer(x_max, "x_max", 0)
     poi, mixture = _pmf_tables(mu, mix, x_max)
     poi_prefix = [0.0]
     mix_prefix = [0.0]
@@ -169,8 +167,7 @@ def threshold_set_structure(mu: float, mix: PoissonMixture, r: float,
         raise ValueError(f"mu must be finite and positive, got {mu}")
     if not math.isfinite(r) or r < 0:
         raise ValueError(f"r must be finite and nonnegative, got {r}")
-    if x_max < 1:
-        raise ValueError("x_max must be >= 1")
+    x_max = check_integer(x_max, "x_max", 1)
     if r == 0.0:
         return ThresholdSetStructure(kind="full")
 

@@ -26,6 +26,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .distances import check_integer, check_integers
+
 
 class StreamExhausted(RuntimeError):
     """A finite sample stream ran out before the requested read completed."""
@@ -40,15 +42,13 @@ class SeededRng:
     """
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
-        self.seed = int(seed)
-        self.path = tuple(int(i) for i in path)
-        if any(i < 0 for i in self.path):
-            raise ValueError("child indexes must be nonnegative")
+        self.seed = check_integer(seed, "seed", 0)
+        self.path = tuple(check_integer(i, "child index", 0) for i in path)
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
         self.generator = np.random.Generator(np.random.Philox(seq))
 
     def child(self, index: int) -> "SeededRng":
-        return SeededRng(self.seed, self.path + (int(index),))
+        return SeededRng(self.seed, self.path + (index,))
 
     def __repr__(self) -> str:
         return f"SeededRng(seed={self.seed}, path={self.path})"
@@ -84,15 +84,8 @@ def poisson_split(y, s: int, rng: SeededRng) -> np.ndarray:
     but about 5x slower at n=64, s=9,000, mu=64, where the samples
     outnumber the parts 64 to 1 (BENCH_split_balls.json).
     """
-    counts = np.asarray(y)
-    s = int(s)
-    if counts.ndim > 1 or (counts.size and not np.issubdtype(counts.dtype, np.integer)):
-        raise ValueError("y must be one count or a 1-D array of integer counts")
-    if counts.size and counts.min() < 0:
-        raise ValueError(f"y must be nonnegative, got {counts.min()}")
-    if s < 1:
-        raise ValueError(f"s must be positive, got {s}")
-    flat = counts.astype(np.int64).reshape(-1)
+    s = check_integer(s, "s", 1)
+    flat = check_integers(np.atleast_1d(y), "count", 0)
     size = flat.size * s
     offsets = np.arange(0, size, s, dtype=np.int64)  # bin 0 of each count
     bounds = np.zeros(flat.size + 1, dtype=np.int64)  # count i's first sample
@@ -116,32 +109,18 @@ def poisson_split(y, s: int, rng: SeededRng) -> np.ndarray:
             parts[lo * s:hi * s] += counted
     if parts is None:
         parts = np.zeros(size, dtype=np.int64)
-    return parts.reshape(counts.shape + (s,))
+    return parts.reshape(np.shape(y) + (s,))
 
 
 def validate_frequency_vector(freq: np.ndarray) -> np.ndarray:
-    freq = np.asarray(freq)
-    if freq.ndim != 1 or freq.size < 1:
-        raise ValueError("frequency vector must be a nonempty 1-D array")
-    if not np.issubdtype(freq.dtype, np.integer):
-        raise ValueError("frequency vector must hold integers")
-    if freq.min() < 0:
-        raise ValueError(f"negative count {freq.min()}")
-    return freq.astype(np.int64)
+    return check_integers(freq, "count", 0)
 
 
 def poissonize(samples: np.ndarray, n: int) -> np.ndarray:
-    """Fold a sequence of 1-based symbols into per-symbol counts of length n."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    samples = np.asarray(samples)
-    if samples.size and not np.issubdtype(samples.dtype, np.integer):
-        raise ValueError("symbols must be integers")
-    if samples.size and (samples.min() < 1 or samples.max() > n):
-        raise ValueError(f"symbol out of range 1..{n}")
-    return np.bincount(samples, minlength=n + 1)[1:].astype(np.int64) if samples.size \
-        else np.zeros(n, dtype=np.int64)
+    """Fold a 1-D array of symbols 1..n into per-symbol counts of length n."""
+    n = check_integer(n, "n", 1)
+    samples = check_integers(samples, "symbol", 1, n)
+    return np.bincount(samples, minlength=n + 1)[1:].astype(np.int64)
 
 
 class SymbolStream:
@@ -149,9 +128,10 @@ class SymbolStream:
 
     Wraps either a block sampler (callable k -> array of k symbols, endless)
     or a finite 1-D integer array, read by slicing.  take(k) returns exactly
-    k symbols or raises StreamExhausted.  A finite source of any other shape
-    or dtype (floats, iterators) is rejected at construction, and a sampler
-    block of any other dtype at the take that reads it.
+    k symbols or raises StreamExhausted; a float k is refused, not
+    truncated.  A finite source of any other shape or dtype (floats,
+    iterators) is rejected at construction (check_integers), and a sampler
+    block of any other at the take that reads it.
     """
 
     def __init__(self, source: Callable[[int], np.ndarray] | Sequence[int] | np.ndarray):
@@ -160,32 +140,24 @@ class SymbolStream:
         if callable(source):
             self._sampler = source
         else:
-            symbols = np.asarray(source)
-            if symbols.ndim != 1:
-                raise ValueError("a finite stream needs a 1-D array of symbols")
-            if symbols.size and not np.issubdtype(symbols.dtype, np.integer):
-                raise ValueError(f"symbols must be integers, got dtype {symbols.dtype}")
             # Read-only view: blocks handed out by take() alias this array.
-            self._symbols = symbols.astype(np.int64, copy=False).view()
+            self._symbols = check_integers(source, "symbol").view()
             self._symbols.flags.writeable = False
         self.consumed = 0
 
     def take(self, k: int) -> np.ndarray:
-        k = int(k)
-        if k < 0:
-            raise ValueError("k must be nonnegative")
+        k = check_integer(k, "k", 0)
         if k == 0:
             return np.empty(0, dtype=np.int64)
         if self._sampler is not None:
-            block = np.asarray(self._sampler(k))
+            # no range pass: the callers check the range they need
+            block = check_integers(self._sampler(k), "symbol")
         else:
             block = self._symbols[self.consumed:self.consumed + k]
         if block.size != k:
             raise StreamExhausted(f"stream exhausted after {block.size} of {k} symbols")
-        if block.dtype.kind not in "iu":
-            raise ValueError(f"symbols must be integers, got dtype {block.dtype}")
         self.consumed += k
-        return block.astype(np.int64, copy=False)
+        return block
 
 
 # A non-uniform stream maps the doubles of a take to symbols at most
@@ -275,11 +247,21 @@ def stream_from_distribution(dist, rng: SeededRng) -> SymbolStream:
     return SymbolStream(sampler)
 
 
+def _int64_array(values: list[int]) -> np.ndarray:
+    """values as an int64 array; one outside int64 raises ValueError naming it."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        wide = next(v for v in values if not -(1 << 63) <= v < 1 << 63)
+        raise ValueError(f"value {wide} does not fit in int64") from None
+
+
 def read_frequency_vector(path) -> np.ndarray:
-    """Read newline-delimited decimal counts."""
+    """Read newline-delimited decimal counts; a line that is not a count
+    that fits int64 raises ValueError."""
     with open(path) as fh:
         values = [int(line) for line in fh if line.strip()]
-    return validate_frequency_vector(np.asarray(values, dtype=np.int64))
+    return validate_frequency_vector(_int64_array(values))
 
 
 def stream_from_lines(lines: Iterable[str]) -> SymbolStream:
@@ -287,9 +269,8 @@ def stream_from_lines(lines: Iterable[str]) -> SymbolStream:
 
     A take of k parses the next k non-blank lines and reads no line past
     them, so a caller reads only as much of a file or of stdin as it takes.
-    A line that is not a decimal integer raises ValueError at the take that
-    reaches it.
+    A line that is not a decimal integer that fits int64 raises ValueError
+    at the take that reaches it.
     """
     symbols = map(int, filter(str.strip, lines))
-    return SymbolStream(lambda k: np.fromiter(itertools.islice(symbols, k),
-                                              dtype=np.int64))
+    return SymbolStream(lambda k: _int64_array(list(itertools.islice(symbols, k))))

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .distances import check_integer, check_integers
 from .interval_tester import REJECT
 from .poisson import SeededRng, SymbolStream
 # poissonized_sample_cap is unused here; perfbench's trace wrap points look it up.
@@ -92,13 +93,15 @@ def stage_sample_target(n: int, m: int, stage_delta: float,
 def tracker_new(n: int, delta: float, seed: int | SeededRng,
                 overrides: dict | None = None,
                 max_stage: int | None = None) -> TrackerState:
-    """Fresh tracker at stage 0 (m = 1) with stage failure budget delta/2."""
+    """Fresh tracker at stage 0 (m = 1) with stage failure budget delta/2.
+
+    A float or bool n, max_stage or seed is refused, not truncated."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if max_stage is not None and max_stage < 0:
-        raise ValueError("max_stage must be nonnegative")
-    rng = seed if isinstance(seed, SeededRng) else SeededRng(int(seed))
-    return TrackerState(n=int(n), delta=float(delta), rng=rng,
+    if max_stage is not None:
+        check_integer(max_stage, "max_stage", 0)
+    rng = seed if isinstance(seed, SeededRng) else SeededRng(seed)
+    return TrackerState(n=check_integer(n, "n", 2), delta=float(delta), rng=rng,
                         overrides=dict(overrides or {}), max_stage=max_stage)
 
 
@@ -119,11 +122,10 @@ def tracker_feed(state: TrackerState, symbols) -> str:
         symbol = operator.index(symbols)
     except TypeError:
         block = np.asarray(symbols)
-        if block.ndim != 1 or (block.size and block.dtype.kind not in "iu"):
+        if block.ndim != 1:
             raise ValueError(f"symbol {symbols!r} is not an integer "
                              "or a 1-D integer block") from None
-        if block.size and (block.min() < 1 or block.max() > state.n):
-            raise ValueError(f"symbol out of range 1..{state.n}") from None
+        block = check_integers(block, "symbol", 1, state.n)
     else:
         if not 1 <= symbol <= state.n:
             raise ValueError(f"symbol {symbol} out of range 1..{state.n}")

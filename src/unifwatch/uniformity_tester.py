@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .distances import check_integer, check_integers
 from .full_tester import FullTesterParams, derive_full_params, run_full_tester
 from .interval_tester import ACCEPT, BUDGET_EXCEEDED, REJECT, CollisionWitness, Verdict
 from .poisson import SeededRng, SymbolStream, poissonize
@@ -43,9 +44,10 @@ class UniformityTestConfig:
 
     Construction derives the branch, the samples it reserves (g*m, or the
     Poissonized cap) and, if Poissonized, the full tester's params and the
-    Poisson mean s*m'.  overrides are keyword arguments forwarded to
-    derive_full_params (r, s, x_max, tau), so a bad one raises here;
-    experiments that lower r for runtime state so explicitly.
+    Poisson mean s*m'.  n and m are integers (check_integer: a float or a
+    bool is refused, not truncated).  overrides are keyword arguments
+    forwarded to derive_full_params (r, s, x_max, tau), so a bad one raises
+    here; experiments that lower r for runtime state so explicitly.
     """
 
     n: int
@@ -58,10 +60,8 @@ class UniformityTestConfig:
     poisson_mean: float | None = field(init=False, compare=False, default=None)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        check_integer(self.n, "n", 2)
+        check_integer(self.m, "m", 1)
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.m <= math.sqrt(self.n) / 2.0:
@@ -117,9 +117,7 @@ def collision_group_test(n: int, m: int, delta: float, stream: SymbolStream
     """
     g = collision_group_count(delta)
     total = g * m
-    block = stream.take(total).reshape(g, m)
-    if block.size and (block.min() < 1 or block.max() > n):
-        raise ValueError(f"symbol out of range 1..{n}")
+    block = check_integers(stream.take(total), "symbol", 1, n).reshape(g, m)
     ordered = np.sort(block, axis=1)
     collided = int(np.any(ordered[:, 1:] == ordered[:, :-1], axis=1).sum())
     outcome = REJECT if collided > g / 2 else ACCEPT
@@ -165,16 +163,14 @@ def collision_count_baseline(n: int, m: int, stream: SymbolStream
     Computes the collision fraction c = sum_i C(f_i, 2) / C(m, 2) and accepts
     iff c <= 1/n + 2/(m*sqrt(n)); the slack is twice the worst-case standard
     deviation of c under uniform (variance at most 4/(m^2*n)).  A fixed-
-    threshold single-shot test: roughly 75% power, no delta knob.
+    threshold single-shot test: roughly 75% power, no delta knob.  Pairs
+    are counted over the distinct symbols read, so memory is O(m) however
+    large n is.
     """
-    n = int(n)
-    m = int(m)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if m < 2:
-        raise ValueError(f"m must be >= 2 to form pairs, got {m}")
-    samples = stream.take(m)
-    freq = poissonize(samples, n)
+    n = check_integer(n, "n", 2)
+    m = check_integer(m, "m", 2)  # a pair needs two samples
+    samples = check_integers(stream.take(m), "symbol", 1, n)
+    _, freq = np.unique(samples, return_counts=True)
     pairs = float((freq * (freq - 1) // 2).sum())
     fraction = pairs / (m * (m - 1) / 2.0)
     threshold = 1.0 / n + 2.0 / (m * math.sqrt(n))

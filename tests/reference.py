@@ -26,8 +26,8 @@ from unifwatch import (ACCEPT, REJECT, DiscreteDistribution, FullTesterParams,
                        best_interval, exact_hellinger_poisson_vs_mixture,
                        hellinger_sq_bernoulli, hellinger_sq_bernoulli_bounds,
                        log_pmf_ratio, poisson_log_pmf, subset_thresholds)
-from unifwatch.distances import (PROB_SLACK, _check_count, _check_rate,
-                                 _check_same_domain)
+from unifwatch.distances import (PROB_SLACK, _check_rate, _check_same_domain,
+                                 check_integer)
 from unifwatch.full_tester import _split_histograms
 from unifwatch.interval_tester import interval_mass_matrix, poisson_pmf_table
 from unifwatch.poisson import validate_frequency_vector
@@ -204,8 +204,8 @@ class IntervalMass:
 def poisson_interval_mass(mu: float, a: int, b: int) -> IntervalMass:
     """Mass Poi(mu) places on [a, b], summed directly in increasing x."""
     mu = _check_rate(mu)
-    a = _check_count(a)
-    b = _check_count(b)
+    a = check_integer(a, "a", 0)
+    b = check_integer(b, "b", 0)
     if a > b:
         raise ValueError(f"empty interval: a={a} > b={b}")
     terms = [math.exp(poisson_log_pmf(mu, x)) for x in range(a, b + 1)]

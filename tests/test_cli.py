@@ -1,6 +1,7 @@
 """CLI and package surface: subcommand behavior, record shapes, exit codes,
 the public names."""
 
+import ast
 import importlib
 import io
 import json
@@ -192,6 +193,30 @@ def test_interval_test_with_too_few_counts_exits_2(tmp_path, capsys):
                                       "--delta", "0.5", "--samples", str(samples)])
     assert (code, out) == (2, "")
     assert err == "error: stream exhausted after 100 of 1700 symbols\n"
+
+
+WIDE = "99999999999999999999"  # a decimal integer too wide for int64
+
+
+@pytest.mark.parametrize("argv", [
+    ["test", "--n", "64", "--m", "2", "--delta", "0.1", "--samples"],
+    ["track", "--n", "64", "--delta", "0.2", "--stream"],
+    ["interval-test", "--mu", "1", "--eps", "2", "--delta", "0.5", "--samples"],
+    ["full-test", "--n", "16", "--mu", "2", "--delta", "0.2", "--r", "48", "--freq"],
+], ids=lambda argv: argv[0])
+def test_a_line_too_wide_for_int64_exits_2(tmp_path, capsys, argv):
+    """The readers refuse the line with a ValueError naming it: exit 2, not
+    an OverflowError traceback.  track prints the stage resolved before it."""
+    path = tmp_path / "lines.txt"
+    path.write_text("7\n" * 200 + WIDE + "\n")
+    code, out, err = run_cli(capsys, [*argv, str(path)])
+    assert code == 2
+    assert err == f"error: value {WIDE} does not fit in int64\n"
+    if argv[0] == "track":
+        assert out.startswith("stage=0 m=1 branch=collision outcome=accept samples=145")
+        assert len(out.splitlines()) == 1
+    else:
+        assert out == ""
 
 
 def test_interval_test_subcommand_truncates_and_echoes_params(tmp_path, capsys):
@@ -400,6 +425,37 @@ def test_console_script_target_is_entrypoint():
     module_name, attr = target.split(":")
     resolved = getattr(importlib.import_module(module_name), attr)
     assert resolved is unifwatch.cli.entrypoint
+
+
+def test_test_extra_declares_every_third_party_import():
+    """A clean install of the test extra can collect every test module."""
+    tomllib = pytest.importorskip("tomllib")
+    with PYPROJECT.open("rb") as handle:
+        project = tomllib.load(handle)["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.match(r"[\w.-]+", req).group().lower() for req in requirements}
+    sources = list((REPO_ROOT / "tests").rglob("*.py"))
+    imported = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    local = {path.stem for path in sources} | {"unifwatch"}
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert third_party and third_party <= declared, sorted(third_party - declared)
+
+
+def test_readme_library_tour_runs():
+    section = README.read_text(encoding="utf-8").split("## Library tour", 1)[1]
+    tour = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    probe = "print(status, report.branch, verdict.outcome, report.samples_consumed)\n"
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", tour + probe], capture_output=True,
+                            text=True, timeout=120, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["plausible", "collision", "accept", "1160"]
 
 
 # Names the package no longer ships: the ones tests check claims with moved

@@ -12,11 +12,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from unifwatch import (DiscreteDistribution, PoissonMixture,
-                       StructureViolationError, hellinger_sq,
-                       hellinger_sq_bernoulli, hellinger_sq_bernoulli_bounds,
-                       log_pmf_ratio, mixture_pmf, poisson_log_pmf)
-from unifwatch.poisson import SeededRng
+from unifwatch import (DiscreteDistribution, FullTesterParams,
+                       IntervalTesterParams, PoissonMixture,
+                       StructureViolationError, SymbolStream,
+                       UniformityTestConfig, best_interval,
+                       collision_count_baseline, derive_full_params,
+                       hellinger_sq, hellinger_sq_bernoulli,
+                       hellinger_sq_bernoulli_bounds, log_pmf_ratio,
+                       mixture_pmf, poisson_log_pmf, poissonize, tracker_new)
+from unifwatch.distances import check_integers
+from unifwatch.poisson import SeededRng, poisson_split
 
 from conftest import random_distribution
 from reference import (eliminate_large_witness, kl_divergence, pmf_ratio,
@@ -370,3 +375,52 @@ def test_poisson_mixture_validation():
     with pytest.raises(ValueError):
         PoissonMixture(np.array([np.inf]))
     assert PoissonMixture(np.array([0.0, 3.0])).k == 2
+
+
+# (parameter, call with the value, a float or bool to refuse, an np.int64 to
+# accept); every refused value was truncated or stored as given before the
+# integer rule.
+INTEGER_PARAMETERS = [
+    ("m", lambda v: UniformityTestConfig(64, v, 0.1), 2.5, np.int64(2)),
+    ("m", lambda v: UniformityTestConfig(64, v, 0.1), 6.5, np.int64(6)),
+    ("k", lambda v: SymbolStream([1, 2, 3]).take(v), 2.7, np.int64(2)),
+    ("s", lambda v: poisson_split(np.array([3, 1]), v, SeededRng(0)), 2.9,
+     np.int64(2)),
+    ("n", lambda v: derive_full_params(v, 2.0, 0.05), 64.9, np.int64(64)),
+    ("m", lambda v: collision_count_baseline(64, v, SymbolStream(np.arange(1, 8))),
+     6.9, np.int64(6)),
+    ("seed", SeededRng, 2.7, np.int64(2)),
+    ("index", lambda v: SeededRng(1).child(v), 1.9, np.int64(1)),
+    ("n", lambda v: poissonize(np.array([1, 2, 3]), v), 3.9, np.int64(3)),
+    ("n", lambda v: tracker_new(v, 0.2, 1), 64.7, np.int64(64)),
+    ("m", lambda v: IntervalTesterParams(mu=1.0, tau=0.1, x_max=4, m=v), 2.5,
+     np.int64(2)),
+    ("r", lambda v: FullTesterParams(n=16, mu=1.0, tau=0.1, s=4, r=v, x_max=4),
+     2.5, np.int64(2)),
+    ("x_max", lambda v: best_interval(1.0, MIX_5_15, v), 3.9, np.int64(3)),
+    ("n", DiscreteDistribution.uniform, 2.5, np.int64(2)),
+    ("r", lambda v: derive_full_params(64, 2.0, 0.05, r=v), True, np.int64(4)),
+]
+
+
+@pytest.mark.parametrize("name, call, bad, good", INTEGER_PARAMETERS)
+def test_integer_parameters_refuse_floats_and_bools(name, call, bad, good):
+    """A float or bool where an integer belongs is refused, naming the
+    parameter, not truncated; a numpy integer is accepted."""
+    with pytest.raises(ValueError, match=rf"\b{name} must be an integer, got {bad!r}"):
+        call(bad)
+    call(good)
+
+
+def test_check_integers_shape_dtype_and_bounds():
+    assert check_integers([], "symbol", 1, 3).dtype == np.int64
+    assert check_integers(np.array([3, 1], dtype=np.uint8), "symbol", 1, 3).tolist() == [3, 1]
+    for values, message in [([[1]], "symbol array must be 1-D"),
+                            ([1.0], "symbol array must hold integers"),
+                            ([True], "symbol array must hold integers"),
+                            ([0, 2], "symbol out of range 1..3"),
+                            ([4], "symbol out of range 1..3")]:
+        with pytest.raises(ValueError, match=message):
+            check_integers(values, "symbol", 1, 3)
+    with pytest.raises(ValueError, match="count must be >= 0, got -2"):
+        check_integers([4, -2], "count", 0)

@@ -213,3 +213,13 @@ def test_baseline_needs_pairs():
     stream = SymbolStream(lambda k: np.ones(k, dtype=np.int64))
     with pytest.raises(ValueError):
         collision_count_baseline(1000, 1, stream)
+
+
+def test_collision_count_baseline_needs_no_n_entry_counts():
+    """Pairs come from the distinct symbols read, so a domain of 10**12
+    costs O(m) memory, not an n-entry count vector."""
+    n = 10**12
+    accept, _ = collision_count_baseline(n, 2, SymbolStream([1, 2]))
+    reject, report = collision_count_baseline(n, 2, SymbolStream([5, 5]))
+    assert (accept.outcome, reject.outcome) == (ACCEPT, REJECT)
+    assert (reject.witness.collided, report.samples_consumed) == (1, 2)
