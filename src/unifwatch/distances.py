@@ -115,19 +115,33 @@ def check_integers(values, name: str, low: int | None = None,
     return array
 
 
-def _check_rate(rate: float) -> float:
-    rate = float(rate)
-    if not math.isfinite(rate) or rate < 0:
-        raise ValueError(f"rate must be finite and nonnegative, got {rate}")
-    return rate
+def check_real(value, name: str, *, gt=None, ge=None, lt=None, le=None) -> float:
+    """value as a float, once it is a finite Python or numpy real (not a bool
+    or np.bool_) and > gt, >= ge, < lt and <= le for each bound given.
+    Anything else raises ValueError naming it: a string is refused, not cast."""
+    if isinstance(value, bool) or not isinstance(value, (float, int, np.floating, np.integer)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int too wide for a float
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if not ((gt is None or number > gt) and (ge is None or number >= ge)
+            and (lt is None or number < lt) and (le is None or number <= le)):
+        bounds = zip((">", ">=", "<", "<="), (gt, ge, lt, le))
+        raise ValueError(f"{name} must be " + " and ".join(
+            f"{op} {bound}" for op, bound in bounds if bound is not None) + f", got {number}")
+    return number
 
 
 def poisson_log_pmf(rate: float, x: int) -> float:
     """Natural log of the Poi(rate) PMF at x.
 
     rate = 0 is the point mass at 0: returns 0.0 at x = 0 and -inf elsewhere.
+    A bool or a string rate is refused, not cast.
     """
-    rate = _check_rate(rate)
+    rate = check_real(rate, "rate", ge=0)
     x = check_integer(x, "x", 0)
     if rate == 0.0:
         return 0.0 if x == 0 else -math.inf
@@ -151,8 +165,9 @@ def log_pmf_ratio(mix: PoissonMixture, mu: float, x: int) -> float:
     Common log terms are factored out: each component contributes
     exp(mu - rate + x*(log rate - log mu)).  Returns -inf when the mixture
     has zero mass at x.  Signals if mu = 0 and x > 0 (zero denominator).
+    A bool or a string mu is refused, not cast.
     """
-    mu = _check_rate(mu)
+    mu = check_real(mu, "mu", ge=0)
     x = check_integer(x, "x", 0)
     if mu == 0.0:
         if x > 0:

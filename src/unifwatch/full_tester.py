@@ -60,7 +60,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distances import check_integer, hellinger_sq_bernoulli_bounds
+from .distances import check_integer, check_real, hellinger_sq_bernoulli_bounds
 from .interval_tester import (ACCEPT, REJECT, Verdict, first_violation,
                               interval_mass_matrix, poisson_pmf_table)
 from .poisson import (SPLIT_CHUNK, SeededRng, poisson_split,
@@ -81,7 +81,8 @@ BATCH_COUNTS = 1 << 16
 class FullTesterParams:
     """Operating point: split factor s, repeats r, ceiling x_max, threshold tau.
 
-    n, s, r and x_max are stored as ints; a float or bool is refused."""
+    n, s, r and x_max are stored as ints, mu and tau as finite floats; a
+    float or bool integer, or a bool or string real, is refused."""
 
     n: int
     mu: float
@@ -93,10 +94,8 @@ class FullTesterParams:
     def __post_init__(self):
         for name, low in (("n", 2), ("s", 1), ("r", 1), ("x_max", 0)):
             object.__setattr__(self, name, check_integer(getattr(self, name), name, low))
-        if not math.isfinite(self.mu) or self.mu < 0:
-            raise ValueError(f"mu must be finite and nonnegative, got {self.mu}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
+        object.__setattr__(self, "mu", check_real(self.mu, "mu", ge=0))
+        object.__setattr__(self, "tau", check_real(self.tau, "tau", gt=0))
 
 
 def derive_full_params(n: int, mu: float, delta: float,
@@ -118,17 +117,13 @@ def derive_full_params(n: int, mu: float, delta: float,
     n*r*(x_max+1)^2 * 2*exp(-s*tau) <= delta/2; overrides that break it are
     rejected.  r dominates runtime and may be overridden downward for
     desk-scale experiments; completeness is unaffected (fewer tests), only
-    the soundness repetition margin shrinks.  n and the r, s and x_max
-    overrides are integers, checked by check_integer here and in
-    FullTesterParams: a float or a bool is refused, not truncated.
+    the soundness repetition margin shrinks.  A float or bool n, r, s or
+    x_max, or a bool or string mu, delta or tau, is refused, not truncated
+    or cast.
     """
     n = check_integer(n, "n", 2)
-    mu = float(mu)
-    delta = float(delta)
-    if not math.isfinite(mu) or mu < 0:
-        raise ValueError(f"mu must be finite and nonnegative, got {mu}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    mu = check_real(mu, "mu", ge=0)
+    delta = check_real(delta, "delta", gt=0, lt=1)
     big_l = math.log(max(n, 3))
     if x_max is None:
         x_max = math.ceil(2.0 * mu + 6.0 * (big_l + math.log(20.0 / delta)))
@@ -136,12 +131,14 @@ def derive_full_params(n: int, mu: float, delta: float,
         tau = 1.0 / (16.0 * big_l * big_l)
     if r is None:
         r = math.ceil(8.0 * math.log(2.0 / delta) * n * big_l)
-    if r < 1 or x_max < 0 or not tau > 0.0:
-        raise ValueError(f"r must be >= 1, x_max >= 0 and tau > 0, got r={r}, "
-                         f"x_max={x_max}, tau={tau}")
+    try:
+        r, x_max = check_integer(r, "r", 1), check_integer(x_max, "x_max", 0)
+        tau = check_real(tau, "tau", gt=0)
+    except ValueError as err:
+        raise ValueError(f"r must be >= 1, x_max >= 0 and tau > 0 ({err})") from None
     if s is None:
         s = math.ceil((1.0 / tau) * math.log(8.0 * (x_max + 1) ** 2 * n * r / delta))
-    params = FullTesterParams(n=n, mu=mu, tau=float(tau), s=s, r=r, x_max=x_max)
+    params = FullTesterParams(n=n, mu=mu, tau=tau, s=s, r=r, x_max=x_max)
     failure = n * params.r * (params.x_max + 1) ** 2 * 2.0 * math.exp(-params.s * params.tau)
     if failure > delta / 2.0:
         raise ValueError(

@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .distances import DiscreteDistribution
+from .distances import DiscreteDistribution, check_integer, check_real
 from .poisson import SeededRng, stream_from_distribution
 from .tracker import tracker_new, tracker_run
 from .uniformity_tester import (UniformityTestConfig, collision_count_baseline,
@@ -125,7 +125,8 @@ class ExperimentConfig:
     """One experiment: a tester, a family, a trial count, and a master seed.
 
     tester_params holds JSON-typed values only; a key of the wrong type, or
-    one no tester reads, raises ValueError naming it.
+    one no tester reads, raises ValueError naming it.  trials >= 1 and
+    seed >= 0 are integers (check_integer: a float or a bool is refused).
     """
 
     tester: str
@@ -137,8 +138,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.tester not in TESTERS:
             raise ValueError(f"unknown tester {self.tester!r}; expected one of {TESTERS}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        check_integer(self.trials, "trials", 1)
+        check_integer(self.seed, "seed", 0)
         _check_tester_params("tester_params", self.tester_params)
 
 
@@ -156,34 +157,25 @@ class TrialRecord:
 
 
 def realize_family(spec: DistributionFamilySpec) -> DiscreteDistribution:
-    """Turn a family spec into its explicit probability vector."""
+    """Turn a family spec into its probability vector; a bad parameter is refused."""
     n = spec.n
     if spec.family == "uniform":
         return DiscreteDistribution.uniform(n)
     if spec.family == "heavy_element":
-        beta = spec.beta
-        if beta is None or not 0.0 <= beta <= 1.0:
-            raise ValueError(f"heavy_element needs beta in [0, 1], got {beta}")
+        beta = check_real(spec.beta, "heavy_element beta", ge=0, le=1)
         probs = np.full(n, (1.0 - beta) / n)
         probs[-1] = beta + (1.0 - beta) / n
         return DiscreteDistribution(probs)
     if spec.family == "uniform_subset":
-        fraction = spec.fraction
-        if fraction is None or not 0.0 < fraction <= 1.0:
-            raise ValueError(f"uniform_subset needs fraction in (0, 1], got {fraction}")
+        fraction = check_real(spec.fraction, "uniform_subset fraction", gt=0, le=1)
         k = max(1, int(round(fraction * n)))
         chosen = SeededRng(spec.seed).generator.choice(n, size=k, replace=False)
         probs = np.zeros(n)
         probs[chosen] = 1.0 / k
         return DiscreteDistribution(probs)
     if spec.family == "two_level":
-        mass_split = spec.mass_split
-        support_split = spec.support_split
-        if mass_split is None or not 0.0 < mass_split < 1.0:
-            raise ValueError(f"two_level needs mass_split in (0, 1), got {mass_split}")
-        if support_split is None or not 0.0 < support_split < 1.0:
-            raise ValueError(
-                f"two_level needs support_split in (0, 1), got {support_split}")
+        mass_split = check_real(spec.mass_split, "two_level mass_split", gt=0, lt=1)
+        support_split = check_real(spec.support_split, "two_level support_split", gt=0, lt=1)
         head = min(max(int(round(support_split * n)), 1), n - 1)
         probs = np.empty(n)
         probs[:head] = mass_split / head
@@ -199,10 +191,12 @@ def realize_family(spec: DistributionFamilySpec) -> DiscreteDistribution:
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z
                     ) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not 0 <= successes <= trials:
+    """Wilson score interval for a binomial proportion.
+
+    successes and trials are integers (check_integer: a float or a bool is
+    refused, not truncated), with 0 <= successes <= trials and trials >= 1."""
+    trials = check_integer(trials, "trials", 1)
+    if check_integer(successes, "successes", 0) > trials:
         raise ValueError(f"successes {successes} outside [0, {trials}]")
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
@@ -216,7 +210,7 @@ def _run_uniformity_trial(config: ExperimentConfig, dist: DiscreteDistribution,
                           rng: SeededRng) -> tuple[str, str | None, int, dict | None]:
     params = config.tester_params
     test_config = UniformityTestConfig(
-        n=config.family.n, m=params["m"], delta=float(params["delta"]),
+        n=config.family.n, m=params["m"], delta=params["delta"],
         overrides=params.get("overrides") or {})
     stream = stream_from_distribution(dist, rng.child(0))
     verdict, report = test_uniformity(test_config, stream, rng.child(1))
@@ -231,7 +225,7 @@ def _run_tracker_trial(config: ExperimentConfig, dist: DiscreteDistribution,
     max_samples = params.get("max_samples")
     if max_stage is None and max_samples is None:
         raise ValueError("tracker experiments need max_stage or max_samples")
-    state = tracker_new(config.family.n, float(params["delta"]), rng.child(1),
+    state = tracker_new(config.family.n, params["delta"], rng.child(1),
                         overrides=params.get("overrides") or {},
                         max_stage=max_stage)
     stream = stream_from_distribution(dist, rng.child(0))

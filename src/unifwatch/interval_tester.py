@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distances import (check_integer, check_integers, hellinger_sq_bernoulli,
-                        hellinger_sq_bernoulli_bounds, poisson_log_pmf)
+from .distances import (check_integer, check_integers, check_real,
+                        hellinger_sq_bernoulli, hellinger_sq_bernoulli_bounds,
+                        poisson_log_pmf)
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -27,7 +28,8 @@ BUDGET_EXCEEDED = "budget_exceeded"
 
 @dataclass(frozen=True)
 class IntervalTesterParams:
-    """Derived operating point: ceiling x_max, threshold tau, sample count m."""
+    """Derived operating point: ceiling x_max, threshold tau, sample count m.
+    mu and tau are stored as finite floats; a bool or a string is refused."""
 
     mu: float
     tau: float
@@ -35,10 +37,8 @@ class IntervalTesterParams:
     m: int
 
     def __post_init__(self):
-        if not math.isfinite(self.mu) or self.mu < 0:
-            raise ValueError(f"mu must be finite and nonnegative, got {self.mu}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        object.__setattr__(self, "mu", check_real(self.mu, "mu", ge=0))
+        object.__setattr__(self, "tau", check_real(self.tau, "tau", gt=0))
         check_integer(self.x_max, "x_max", 0)
         check_integer(self.m, "m", 1)
 
@@ -84,17 +84,12 @@ def derive_interval_params(mu: float, eps: float, delta: float) -> IntervalTeste
     tau   = eps / (64*ln(4/eps))
     m     = ceil(8*ln(8*(x_max+1)^2/delta) / tau)
 
-    A custom operating point is an IntervalTesterParams built directly.
+    A custom operating point is an IntervalTesterParams built directly.  A
+    bool or a string mu, eps or delta is refused, not cast.
     """
-    mu = float(mu)
-    eps = float(eps)
-    delta = float(delta)
-    if not math.isfinite(mu) or mu < 0:
-        raise ValueError(f"mu must be finite and nonnegative, got {mu}")
-    if not 0.0 < eps <= 2.0:
-        raise ValueError(f"eps must lie in (0, 2], got {eps}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    mu = check_real(mu, "mu", ge=0)
+    eps = check_real(eps, "eps", gt=0, le=2)
+    delta = check_real(delta, "delta", gt=0, lt=1)
     log_term = math.log(4.0 / eps)
     x_max = math.ceil(2.0 * mu + 6.0 * math.log(200.0 * log_term / eps)) + 1
     tau = eps / (64.0 * log_term)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distances import (PoissonMixture, StructureViolationError, check_integer,
-                        hellinger_sq_bernoulli, log_pmf_ratio, mixture_pmf,
-                        poisson_log_pmf)
+                        check_real, hellinger_sq_bernoulli, log_pmf_ratio,
+                        mixture_pmf, poisson_log_pmf)
 
 EXTENSION_CEILING = 1_000_000
 
@@ -63,16 +63,6 @@ def _pmf_tables(mu: float, mix: PoissonMixture, cutoff: int
     return poi, mixture
 
 
-def _validated(mu: float, tol: float) -> tuple[float, float]:
-    mu = float(mu)
-    tol = float(tol)
-    if not math.isfinite(mu) or mu < 0:
-        raise ValueError(f"mu must be finite and nonnegative, got {mu}")
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    return mu, tol
-
-
 def _certified_tables(mu: float, mix: PoissonMixture, tol: float
                       ) -> tuple[list[float], list[float], TruncationWindow]:
     """Both PMF tables up to a cutoff that leaves at most tol of mass out.
@@ -80,9 +70,11 @@ def _certified_tables(mu: float, mix: PoissonMixture, tol: float
     Conservative Poisson upper tail: P[Z >= 2*rate + 6*ln(1/d)] <= d.
     Cutting at the worst rate with d = tol/4 leaves each distribution at
     most tol/4 of mass beyond the window; the mass the tables miss is
-    measured, and above tol raises StructureViolationError.
+    measured, and above tol raises StructureViolationError.  A bool or a
+    string mu or tol is refused, not cast.
     """
-    mu, tol = _validated(mu, tol)
+    mu = check_real(mu, "mu", ge=0)
+    tol = check_real(tol, "tol", gt=0, lt=1)
     worst = max([mu] + mix.rates.tolist())
     cutoff = int(math.ceil(2.0 * worst + 6.0 * math.log(4.0 / tol))) + 1
     poi, mixture = _pmf_tables(mu, mix, cutoff)
@@ -122,9 +114,10 @@ def best_interval(mu: float, mix: PoissonMixture, x_max: int) -> BestInterval:
     tables, a block of rows a at a time, so memory stays O(x_max) however
     large x_max is.  Within a block argmax takes the first maximum in (a, b)
     order, and a later block replaces the best only when strictly greater,
-    so ties resolve to the lexicographically first (a, b).
+    so ties resolve to the lexicographically first (a, b).  A bool or a
+    string mu is refused, not cast.
     """
-    mu, _ = _validated(mu, 1e-9)
+    mu = check_real(mu, "mu", ge=0)
     x_max = check_integer(x_max, "x_max", 0)
     poi, mixture = _pmf_tables(mu, mix, x_max)
     poi_prefix = [0.0]
@@ -159,14 +152,11 @@ def threshold_set_structure(mu: float, mix: PoissonMixture, r: float,
     StructureViolationError (the falsification hook).  The scan starts at
     x_max and extends itself until the tail behavior is certified by the
     ratio's limit and slope sign, so the classification covers all of the
-    nonnegative integers, not just the scanned window.
+    nonnegative integers, not just the scanned window.  A bool or a string
+    mu or r is refused, not cast.
     """
-    mu = float(mu)
-    r = float(r)
-    if not math.isfinite(mu) or mu <= 0:
-        raise ValueError(f"mu must be finite and positive, got {mu}")
-    if not math.isfinite(r) or r < 0:
-        raise ValueError(f"r must be finite and nonnegative, got {r}")
+    mu = check_real(mu, "mu", gt=0)
+    r = check_real(r, "r", ge=0)
     x_max = check_integer(x_max, "x_max", 1)
     if r == 0.0:
         return ThresholdSetStructure(kind="full")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distances import check_integer, check_integers
+from .distances import check_integer, check_integers, check_real
 from .interval_tester import REJECT
 from .poisson import SeededRng, SymbolStream
 # poissonized_sample_cap is unused here; perfbench's trace wrap points look it up.
@@ -95,13 +95,13 @@ def tracker_new(n: int, delta: float, seed: int | SeededRng,
                 max_stage: int | None = None) -> TrackerState:
     """Fresh tracker at stage 0 (m = 1) with stage failure budget delta/2.
 
-    A float or bool n, max_stage or seed is refused, not truncated."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    A float or bool n, max_stage or seed is refused, not truncated; a bool
+    or a string delta is refused, not cast."""
+    delta = check_real(delta, "delta", gt=0, lt=1)
     if max_stage is not None:
         check_integer(max_stage, "max_stage", 0)
     rng = seed if isinstance(seed, SeededRng) else SeededRng(seed)
-    return TrackerState(n=check_integer(n, "n", 2), delta=float(delta), rng=rng,
+    return TrackerState(n=check_integer(n, "n", 2), delta=delta, rng=rng,
                         overrides=dict(overrides or {}), max_stage=max_stage)
 
 
@@ -110,7 +110,7 @@ def tracker_feed(state: TrackerState, symbols) -> str:
     budget_exhausted.
 
     Terminal states are sticky: feeding after reject or budget exhaustion
-    raises.  A symbol that is not an integer is refused, not truncated; a
+    raises.  A bool or other non-integer symbol is refused, not truncated; a
     block is checked whole before any of it is used.  Symbols buffer until
     the current stage's reserve is full, then the stage resolves in one
     shot.  A block resolves each stage it completes, in order, and stops at
@@ -120,6 +120,9 @@ def tracker_feed(state: TrackerState, symbols) -> str:
         raise RuntimeError(f"tracker is terminal ({state.status}); no further input")
     try:
         symbol = operator.index(symbols)
+        # index returns an exact int as itself, so only others pay the bool test
+        if symbol is not symbols and isinstance(symbols, bool):
+            raise TypeError
     except TypeError:
         block = np.asarray(symbols)
         if block.ndim != 1:
@@ -174,7 +177,10 @@ def tracker_run(state: TrackerState, stream: SymbolStream,
     one take(), fed to tracker_feed as a block.  Stops on reject, budget
     exhaustion, or before a take that would pass max_samples (returning the
     current status, still plausible).  A short take charges nothing.
+    max_samples is an integer >= 0 (a float or a bool is refused).
     """
+    if max_samples is not None:
+        max_samples = check_integer(max_samples, "max_samples", 0)
     while state.status == PLAUSIBLE:
         need = state.config.samples_reserved - len(state._buffer)
         if max_samples is not None and state.cumulative_samples + need > max_samples:

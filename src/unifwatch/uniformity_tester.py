@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distances import check_integer, check_integers
+from .distances import check_integer, check_integers, check_real
 from .full_tester import FullTesterParams, derive_full_params, run_full_tester
 from .interval_tester import ACCEPT, BUDGET_EXCEEDED, REJECT, CollisionWitness, Verdict
 from .poisson import SeededRng, SymbolStream, poissonize
@@ -44,10 +44,10 @@ class UniformityTestConfig:
 
     Construction derives the branch, the samples it reserves (g*m, or the
     Poissonized cap) and, if Poissonized, the full tester's params and the
-    Poisson mean s*m'.  n and m are integers (check_integer: a float or a
-    bool is refused, not truncated).  overrides are keyword arguments
-    forwarded to derive_full_params (r, s, x_max, tau), so a bad one raises
-    here; experiments that lower r for runtime state so explicitly.
+    Poisson mean s*m'.  A float or bool n or m is refused, not truncated,
+    and a bool or string delta is refused, not cast.  overrides are keyword
+    arguments forwarded to derive_full_params (r, s, x_max, tau), so a bad
+    one raises here; an experiment that lowers r for runtime says so.
     """
 
     n: int
@@ -62,8 +62,7 @@ class UniformityTestConfig:
     def __post_init__(self):
         check_integer(self.n, "n", 2)
         check_integer(self.m, "m", 1)
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        check_real(self.delta, "delta", gt=0, lt=1)
         if self.m <= math.sqrt(self.n) / 2.0:
             plan = {"branch": BRANCH_COLLISION,
                     "samples_reserved": collision_group_count(self.delta) * self.m}
@@ -86,10 +85,9 @@ class SampleBudgetReport:
 
 
 def collision_group_count(delta: float) -> int:
-    """Smallest odd integer >= 48*ln(2/delta): the group count g."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    g = math.ceil(48.0 * math.log(2.0 / delta))
+    """Smallest odd integer >= 48*ln(2/delta): the group count g.  A bool or
+    a string delta is refused, not cast."""
+    g = math.ceil(48.0 * math.log(2.0 / check_real(delta, "delta", gt=0, lt=1)))
     return g if g % 2 == 1 else g + 1
 
 
@@ -113,8 +111,10 @@ def collision_group_test(n: int, m: int, delta: float, stream: SymbolStream
 
     The uniform-side guarantee needs m <= sqrt(n)/2 (so a group collides with
     probability <= 1/4); callers outside that regime get the mechanical
-    verdict without the guarantee.  Consumes exactly g*m samples.
+    verdict without the guarantee.  Consumes exactly g*m samples.  n >= 2
+    and m >= 1 are integers (check_integer: a float or a bool is refused).
     """
+    n, m = check_integer(n, "n", 2), check_integer(m, "m", 1)
     g = collision_group_count(delta)
     total = g * m
     block = check_integers(stream.take(total), "symbol", 1, n).reshape(g, m)

@@ -16,11 +16,14 @@ from unifwatch import (DiscreteDistribution, FullTesterParams,
                        IntervalTesterParams, PoissonMixture,
                        StructureViolationError, SymbolStream,
                        UniformityTestConfig, best_interval,
-                       collision_count_baseline, derive_full_params,
+                       collision_count_baseline, collision_group_count,
+                       derive_full_params, derive_interval_params,
+                       estimate_opt_samples, exact_tv_poisson_vs_mixture,
                        hellinger_sq, hellinger_sq_bernoulli,
                        hellinger_sq_bernoulli_bounds, log_pmf_ratio,
-                       mixture_pmf, poisson_log_pmf, poissonize, tracker_new)
-from unifwatch.distances import check_integers
+                       mixture_pmf, poisson_log_pmf, poissonize,
+                       threshold_set_structure, tracker_new)
+from unifwatch.distances import check_integers, check_real
 from unifwatch.poisson import SeededRng, poisson_split
 
 from conftest import random_distribution
@@ -410,6 +413,76 @@ def test_integer_parameters_refuse_floats_and_bools(name, call, bad, good):
     with pytest.raises(ValueError, match=rf"\b{name} must be an integer, got {bad!r}"):
         call(bad)
     call(good)
+
+
+# (parameter, call with the value, a value to refuse, an np.float64 to
+# accept); before the real rule each refused value was cast, stored as given
+# (an infinite tau made the full tester accept a point mass) or raised
+# TypeError.
+REAL_PARAMETERS = [
+    ("tau", lambda v: FullTesterParams(n=4, mu=1.0, tau=v, s=10, r=2, x_max=5),
+     math.inf, np.float64(0.5)),
+    ("mu", lambda v: FullTesterParams(n=4, mu=v, tau=0.5, s=10, r=2, x_max=5),
+     True, np.float64(1.0)),
+    ("tau", lambda v: IntervalTesterParams(mu=1.0, tau=v, x_max=4, m=2), math.inf,
+     np.float64(0.1)),
+    ("tau", lambda v: IntervalTesterParams(mu=1.0, tau=v, x_max=4, m=2), math.nan,
+     np.float64(0.1)),
+    ("mu", lambda v: derive_full_params(64, v, 0.05, r=4), "2", np.float64(2.0)),
+    ("delta", lambda v: derive_full_params(64, 2.0, v, r=4), "0.05", np.float64(0.05)),
+    ("eps", lambda v: derive_interval_params(1.0, v, 0.1), "0.5", np.float64(0.5)),
+    ("mu", lambda v: derive_interval_params(v, 0.5, 0.1), True, np.float64(1.0)),
+    ("delta", lambda v: UniformityTestConfig(64, 8, v), "0.1", np.float64(0.1)),
+    ("delta", collision_group_count, "0.1", np.float64(0.1)),
+    ("delta", lambda v: tracker_new(64, v, 0), "0.1", np.float64(0.1)),
+    ("rate", lambda v: poisson_log_pmf(v, 2), True, np.float64(1.0)),
+    ("mu", lambda v: log_pmf_ratio(MIX_5_15, v, 2), "1", np.float64(1.0)),
+    ("mu", lambda v: best_interval(v, MIX_5_15, 5), "1", np.float64(1.0)),
+    ("tol", lambda v: estimate_opt_samples(1.0, MIX_5_15, v), "1e-9", np.float64(1e-9)),
+    ("r", lambda v: threshold_set_structure(10.0, MIX_5_15, v, 5), "2", np.float64(2.0)),
+    ("mu", lambda v: exact_tv_poisson_vs_mixture(v, MIX_5_15), True, np.float64(10.0)),
+]
+
+
+@pytest.mark.parametrize("name, call, bad, good", REAL_PARAMETERS)
+def test_real_parameters_refuse_strings_bools_and_non_finite(name, call, bad, good):
+    """A string, a bool or a non-finite value where a real belongs raises
+    ValueError naming the parameter; a numpy float64 is accepted."""
+    with pytest.raises(ValueError, match=rf"\b{name} must be "):
+        call(bad)
+    call(good)
+
+
+def _as_float(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+BOUNDS = st.none() | st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=st.one_of(st.floats(), st.integers(), st.booleans(),
+                       st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+                       st.integers(-2**63, 2**63 - 1).map(np.int64),
+                       st.text(max_size=3), st.none()),
+       gt=BOUNDS, ge=BOUNDS, lt=BOUNDS, le=BOUNDS)
+def test_check_real_returns_the_float_or_refuses_naming_it(value, gt, ge, lt, le):
+    """check_real returns float(value) when value is a finite real, not a
+    bool, within every bound given; otherwise it raises ValueError naming
+    the parameter, never TypeError."""
+    number = None if isinstance(value, (bool, str, type(None))) else _as_float(value)
+    accept = (number is not None and math.isfinite(number)
+              and (gt is None or number > gt) and (ge is None or number >= ge)
+              and (lt is None or number < lt) and (le is None or number <= le))
+    if not accept:
+        with pytest.raises(ValueError, match=r"^beta must be "):
+            check_real(value, "beta", gt=gt, ge=ge, lt=lt, le=le)
+        return
+    got = check_real(value, "beta", gt=gt, ge=ge, lt=lt, le=le)
+    assert type(got) is float and got == number
 
 
 def test_check_integers_shape_dtype_and_bounds():

@@ -123,9 +123,11 @@ def test_derive_validates_arguments():
                    dict(n=64, mu=2.0, delta=0.0)]:
         with pytest.raises(ValueError):
             derive_full_params(**kwargs)
-    # overrides are checked before s is derived from them
+    # overrides are checked before s is derived from them; one of the wrong
+    # type is refused, not a TypeError
     for override in [dict(r=0), dict(r=-3), dict(x_max=-1), dict(tau=0.0),
-                     dict(tau=-0.1), dict(tau=math.nan)]:
+                     dict(tau=-0.1), dict(tau=math.nan), dict(tau=math.inf),
+                     dict(r="4"), dict(x_max="5"), dict(tau="0.1"), dict(tau=True)]:
         with pytest.raises(ValueError, match="r must be >= 1, x_max >= 0"):
             derive_full_params(n=64, mu=2.0, delta=0.05, **override)
 

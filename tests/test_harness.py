@@ -114,10 +114,22 @@ def test_wilson_interval_matches_scipy():
         assert hi == pytest.approx(ref.high, abs=1e-9)
     assert wilson_interval(0, 5)[0] == 0.0
     assert wilson_interval(5, 5)[1] == 1.0
-    with pytest.raises(ValueError):
-        wilson_interval(1, 0)
-    with pytest.raises(ValueError):
-        wilson_interval(6, 5)
+    assert wilson_interval(np.int64(2), np.int64(10)) == wilson_interval(2, 10)
+    # a fractional or bool count is refused, not given an interval
+    for successes, trials in [(1, 0), (6, 5), (2.5, 10), (True, 10), (2, 10.0)]:
+        with pytest.raises(ValueError):
+            wilson_interval(successes, trials)
+
+
+def test_experiment_config_refuses_non_integer_trials_and_seed():
+    """A fractional or bool trial count, or a bad seed, is refused when the
+    config is built, not when a run first uses it."""
+    family = DistributionFamilySpec(family="uniform", n=16)
+    for field, value in [("trials", 2.5), ("trials", True), ("seed", -1), ("seed", 1.0)]:
+        kwargs = {"tester": "uniformity", "family": family, "trials": 2, "seed": 1,
+                  "tester_params": {"m": 2, "delta": 0.1}, field: value}
+        with pytest.raises(ValueError, match=rf"^{field} must be "):
+            ExperimentConfig(**kwargs)
 
 
 def strip_wall_time(records):

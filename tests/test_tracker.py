@@ -87,9 +87,10 @@ def test_feed_rejects_out_of_range_symbols():
 
 
 def test_feed_refuses_non_integer_symbols():
-    """2.7 is refused, not fed as symbol 2; numpy integers are symbols."""
+    """2.7 is refused, not fed as symbol 2, and True not as symbol 1; numpy
+    integers are symbols."""
     state = tracker_new(n=10, delta=0.2, seed=1)
-    for symbol in (2.7, 3.0, np.float64(3.0), "3"):
+    for symbol in (2.7, 3.0, np.float64(3.0), "3", True, np.True_):
         with pytest.raises(ValueError, match=re.escape(f"symbol {symbol!r} is not")):
             tracker_feed(state, symbol)
     assert state.cumulative_samples == 0
@@ -272,6 +273,15 @@ def test_run_respects_max_samples_and_resumes():
     outcome = tracker_run(state, stream)
     assert outcome == BUDGET_EXHAUSTED
     assert state.cumulative_samples == 3307
+
+
+def test_run_refuses_a_non_integer_max_samples():
+    for max_samples in (2.5, "10", True):
+        state = tracker_new(n=64, delta=0.2, seed=13)
+        with pytest.raises(ValueError, match="max_samples must be"):
+            tracker_run(state, SymbolStream(np.ones(1000, dtype=np.int64)),
+                        max_samples=max_samples)
+        assert state.cumulative_samples == 0
 
 
 def test_tracker_reaches_poissonized_stage():

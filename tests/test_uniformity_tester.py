@@ -168,6 +168,13 @@ def test_collision_branch_stream_exhaustion():
         collision_group_test(100, 2, 0.1, stream)
 
 
+def test_collision_group_test_checks_its_own_n_and_m():
+    """Called directly, a fractional n or an empty group is refused, not run."""
+    for n, m, name in [(2.5, 2, "n"), (100, 0, "m"), (100, 2.0, "m")]:
+        with pytest.raises(ValueError, match=rf"^{name} must be "):
+            collision_group_test(n, m, 0.1, SymbolStream(np.arange(1, 100)))
+
+
 def test_config_validation():
     # an invalid override raises when the Poissonized plan is built
     for kwargs in [dict(n=1, m=5, delta=0.1), dict(n=10, m=0, delta=0.1),
